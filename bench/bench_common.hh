@@ -29,6 +29,7 @@
 #include "harness/sweep.hh"
 #include "qos/allocation.hh"
 #include "qos/group_metrics.hh"
+#include "sim/report.hh"
 
 namespace noc::bench
 {
@@ -100,8 +101,8 @@ printRule()
 /**
  * Minimal ordered JSON object builder for BENCH_*.json artifacts.
  * Supports the flat-with-nested-objects shape those files use; no
- * arrays, no escaping beyond quotes/backslashes (keys and values are
- * bench-controlled identifiers).
+ * arrays. String values go through noc::jsonEscape; keys are
+ * bench-controlled identifiers and are written as is.
  */
 class Json
 {
@@ -135,7 +136,7 @@ class Json
     Json &
     set(const std::string &key, const std::string &v)
     {
-        return raw(key, "\"" + escaped(v) + "\"");
+        return raw(key, "\"" + jsonEscape(v) + "\"");
     }
 
     Json &
@@ -171,18 +172,6 @@ class Json
     {
         fields_.emplace_back(key, std::move(value));
         return *this;
-    }
-
-    static std::string
-    escaped(const std::string &s)
-    {
-        std::string out;
-        for (char c : s) {
-            if (c == '"' || c == '\\')
-                out += '\\';
-            out += c;
-        }
-        return out;
     }
 
     /** Re-indent a pre-rendered nested object to this nesting level. */

@@ -133,7 +133,7 @@ LoftDataRouter::admitLookahead(Port in, const LookaheadFlit &la,
         ip.unclaimed.erase(un);
     }
     ip.records.emplace(key, std::move(rec));
-    NOC_OBSERVE(observer_, onLookaheadAdmitted(id_, in, la, now));
+    NOC_OBSERVE(observer_, LookaheadAdmitted{id_, in, la, now});
     return true;
 }
 
@@ -196,7 +196,7 @@ LoftDataRouter::schedulePending(Port outp, Cycle now,
         onward = rec.la;
         terminal = outp == Port::Local;
         NOC_OBSERVE(observer_,
-                    onQuantumScheduled(id_, outp, rec.la, granted, now));
+                    QuantumScheduled{id_, outp, rec.la, granted, now});
         pend.erase(it);
         return true;
     }
@@ -253,8 +253,8 @@ LoftDataRouter::receiveData(Cycle now)
                 ++ip.nonspecUsed;
             }
             NOC_OBSERVE(observer_,
-                        onFlitArrived(id_, static_cast<Port>(p), flit,
-                                      wf->spec, now));
+                        FlitArrived{id_, static_cast<Port>(p), flit,
+                                    wf->spec, now});
             const std::uint64_t key =
                 recordKey(flit.flow, flit.quantum);
             auto it = ip.records.find(key);
@@ -346,8 +346,8 @@ LoftDataRouter::forwardFlit(std::size_t in, QuantumRecord &rec,
     op.lastForward = now;
     ++op.flitsForwarded;
     NOC_OBSERVE(observer_,
-                onFlitForwarded(id_, static_cast<Port>(out), bf.flit,
-                                to_spec, now));
+                FlitForwarded{id_, static_cast<Port>(out), bf.flit,
+                              to_spec, now});
     DPRINTF(Data, now, "router %u: flow %u flit %llu out %s (%s)",
             id_, bf.flit.flow,
             static_cast<unsigned long long>(bf.flit.flitNo),
@@ -413,15 +413,13 @@ LoftDataRouter::switchOutputs(Cycle now)
                 // Section 4.2).
                 ++missedSlots_;
                 NOC_OBSERVE(observer_,
-                            onMissedSlot(id_, static_cast<Port>(out),
-                                         now));
+                            MissedSlot{id_, static_cast<Port>(out), now});
                 continue;
             }
             if (due_dataless) {
                 ++missedSlots_;
                 NOC_OBSERVE(observer_,
-                            onMissedSlot(id_, static_cast<Port>(out),
-                                         now));
+                            MissedSlot{id_, static_cast<Port>(out), now});
             }
         }
 
@@ -492,7 +490,7 @@ LoftDataRouter::dropQuantumFlits(std::size_t in, FlitFifo &flits,
         if (ip.actualCreditOut)
             ip.actualCreditOut->send(now, ActualCreditMsg{bf.spec});
         ++flitsDropped_;
-        NOC_OBSERVE(observer_, onFlitDropped(id_, bf.flit, now));
+        NOC_OBSERVE(observer_, FlitDropped{id_, bf.flit, now});
     }
     flits.clear();
 }
@@ -526,8 +524,8 @@ LoftDataRouter::recoverLostLookaheads(Cycle now)
                 // materialized — the look-ahead flit must be lost.
                 u.detected = true;
                 NOC_OBSERVE(observer_,
-                            onFaultDetected(FaultKind::LookaheadDrop,
-                                            id_, u.firstArrival, now));
+                            FaultDetected{FaultKind::LookaheadDrop,
+                                          id_, u.firstArrival, now});
             }
             // Re-synthesize only once the quantum is complete; data
             // flits of one quantum arrive in order, so the tail marker
@@ -574,8 +572,8 @@ LoftDataRouter::recoverLostLookaheads(Cycle now)
             if (admitLookahead(static_cast<Port>(p), la, now, now)) {
                 ++laReissues_;
                 NOC_OBSERVE(observer_,
-                            onFaultRecovered(FaultKind::LookaheadDrop,
-                                             id_, firstArrival, now));
+                            FaultRecovered{FaultKind::LookaheadDrop,
+                                           id_, firstArrival, now});
             }
         }
     }

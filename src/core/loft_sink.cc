@@ -39,11 +39,9 @@ LoftSink::tick(Cycle now)
         [[maybe_unused]] const Cycle at =
             wf->corruptedAt ? wf->corruptedAt : now;
         NOC_OBSERVE(observer_,
-                    onFaultDetected(FaultKind::DataCorrupt, node_, at,
-                                    now));
+                    FaultDetected{FaultKind::DataCorrupt, node_, at, now});
         NOC_OBSERVE(observer_,
-                    onFaultRecovered(FaultKind::DataCorrupt, node_, at,
-                                     now));
+                    FaultRecovered{FaultKind::DataCorrupt, node_, at, now});
     }
 
     actualCreditOut_->send(now, ActualCreditMsg{wf->spec});
@@ -57,7 +55,7 @@ LoftSink::tick(Cycle now)
     ++flitsEjected_;
     if (metrics_)
         metrics_->onFlitEjected(flit.flow);
-    NOC_OBSERVE(observer_, onFlitEjected(node_, flit, now));
+    NOC_OBSERVE(observer_, FlitEjected{node_, flit, now});
 
     auto [it, inserted] = pending_.try_emplace(flit.packet, 0u);
     (void)inserted;
@@ -66,8 +64,7 @@ LoftSink::tick(Cycle now)
         if (metrics_)
             metrics_->onPacketEjected(flit.flow, flit.createdAt, now);
         NOC_OBSERVE(observer_,
-                    onPacketDelivered(node_, flit.flow, flit.packet,
-                                      now));
+                    PacketDelivered{node_, flit.flow, flit.packet, now});
         pending_.erase(it);
     }
 }

@@ -65,7 +65,7 @@ LoftSourceUnit::enqueue(const Packet &pkt)
         panic("LoftSourceUnit %u: packet from node %u", node_, pkt.src);
     queue_.push_back(pkt);
     queuedFlits_ += pkt.sizeFlits;
-    NOC_OBSERVE(observer_, onPacketAccepted(node_, pkt, pkt.enqueuedAt));
+    NOC_OBSERVE(observer_, PacketAccepted{node_, pkt, pkt.enqueuedAt});
     return true;
 }
 
@@ -176,8 +176,8 @@ LoftSourceUnit::emitLookahead(Cycle now)
     if (!free) {
         ++stallNoLaCredit_;
         NOC_OBSERVE(observer_,
-                    onSourceThrottled(node_, pending_->la.flow,
-                                      StallReason::NoLaCredit, now));
+                    SourceThrottled{node_, pending_->la.flow,
+                                    StallReason::NoLaCredit, now});
         return;
     }
 
@@ -187,8 +187,8 @@ LoftSourceUnit::emitLookahead(Cycle now)
                             pending_->la.quantumNo, earliest, granted)) {
         ++throttles_;
         NOC_OBSERVE(observer_,
-                    onSourceThrottled(node_, pending_->la.flow,
-                                      StallReason::SchedThrottle, now));
+                    SourceThrottled{node_, pending_->la.flow,
+                                    StallReason::SchedThrottle, now});
         return;
     }
     const std::size_t vc = laVcPick_.arbitrate(free);
@@ -197,7 +197,7 @@ LoftSourceUnit::emitLookahead(Cycle now)
                  static_cast<std::uint32_t>(vc)});
     --laCredits_[vc];
     NOC_OBSERVE(observer_,
-                onNiQuantumScheduled(node_, pending_->la, granted, now));
+                NiQuantumScheduled{node_, pending_->la, granted, now});
 
     OutboundQuantum ob(&pool_);
     ob.flow = pending_->la.flow;
@@ -240,16 +240,16 @@ LoftSourceUnit::forwardData(Cycle now)
         else
             ++stallNonspecCredit_;
         NOC_OBSERVE(observer_,
-                    onSourceThrottled(node_, cand->flow,
-                                      to_spec
-                                          ? StallReason::NoSpecCredit
-                                          : StallReason::NoNonspecCredit,
-                                      now));
+                    SourceThrottled{node_, cand->flow,
+                                    to_spec
+                                        ? StallReason::NoSpecCredit
+                                        : StallReason::NoNonspecCredit,
+                                    now});
         return;
     }
     const Flit flit = cand->flits[cand->sent];
     dataOut_->send(now, DataWireFlit{flit, to_spec});
-    NOC_OBSERVE(observer_, onFlitSourced(node_, flit, to_spec, now));
+    NOC_OBSERVE(observer_, FlitSourced{node_, flit, to_spec, now});
     if (to_spec)
         --dnSpecFree_;
     else

@@ -97,8 +97,8 @@ acceptCredit(const Msg &msg, NetObserver *obs, NodeId node, Cycle now,
     const FaultStamp &f = msg.fault;
     if (f.corrupted) {
         ++discarded;
-        NOC_OBSERVE(obs, onFaultDetected(FaultKind::CreditCorrupt, node,
-                                         f.faultAt, now));
+        NOC_OBSERVE(obs, FaultDetected{FaultKind::CreditCorrupt, node,
+                                       f.faultAt, now});
         (void)obs;
         (void)node;
         (void)now;
@@ -109,10 +109,9 @@ acceptCredit(const Msg &msg, NetObserver *obs, NodeId node, Cycle now,
         // re-delivers it; a corrupted one was already detected when the
         // garbled copy failed its CRC above.
         if (f.kind == FaultKind::CreditLoss)
-            NOC_OBSERVE(obs, onFaultDetected(FaultKind::CreditLoss, node,
-                                             f.faultAt, now));
-        NOC_OBSERVE(obs,
-                    onFaultRecovered(f.kind, node, f.faultAt, now));
+            NOC_OBSERVE(obs, FaultDetected{FaultKind::CreditLoss, node,
+                                           f.faultAt, now});
+        NOC_OBSERVE(obs, FaultRecovered{f.kind, node, f.faultAt, now});
     }
     return true;
 }

@@ -45,7 +45,7 @@ OutputScheduler::registerFlow(FlowId flow, std::uint32_t reservation_flits)
     st.c = r;
     st.injFrame = headFrame_;
     flows_[flow] = st;
-    NOC_OBSERVE(observer_, onSchedFlowRegistered(*this, flow, r));
+    NOC_OBSERVE(observer_, SchedFlowRegistered{this, flow, r});
 }
 
 std::uint64_t
@@ -213,8 +213,8 @@ OutputScheduler::trySchedule(FlowId flow, Cycle now,
                 ++grants_;
                 dirty_ = true;
                 NOC_OBSERVE(observer_,
-                            onSchedGrant(*this, flow, quantum_no,
-                                         granted_abs, st.injFrame, now));
+                            SchedGrant{this, flow, quantum_no,
+                                       granted_abs, st.injFrame, now});
                 DPRINTF(Sched, now, "%s: flow %u quantum %llu -> "
                         "slot %llu (frame %llu)", name_.c_str(), flow,
                         static_cast<unsigned long long>(quantum_no),
@@ -229,8 +229,7 @@ OutputScheduler::trySchedule(FlowId flow, Cycle now,
             skipped_[st.injFrame % params_.windowFrames] += st.c;
             if (st.c > 0)
                 NOC_OBSERVE(observer_,
-                            onSchedSkipped(*this, flow, st.c,
-                                           st.injFrame, now));
+                            SchedSkipped{this, flow, st.c, st.injFrame, now});
             st.c = std::min(st.r, st.c + st.r);
             ++st.injFrame;
         } else {
@@ -259,7 +258,7 @@ OutputScheduler::book(std::uint64_t local_slot, FlowId flow,
     }
     if (negative) {
         ++violations_; // buffer overbooked: the anomaly of Section 4.2
-        NOC_OBSERVE(observer_, onSchedCreditNegative(*this, lastAdvance_));
+        NOC_OBSERVE(observer_, SchedCreditNegative{this, lastAdvance_});
     }
     ++outstanding_;
 }
@@ -267,7 +266,7 @@ OutputScheduler::book(std::uint64_t local_slot, FlowId flow,
 void
 OutputScheduler::onCreditReturn(Slot abs_slot)
 {
-    NOC_OBSERVE(observer_, onSchedCreditReturn(*this, abs_slot));
+    NOC_OBSERVE(observer_, SchedCreditReturn{this, abs_slot});
     if (outstanding_ == 0) {
         // A return for a booking that predates a local status reset.
         // Credits are capped at the buffer size, so applying it below
@@ -304,7 +303,7 @@ OutputScheduler::clearBooking(Slot abs_slot)
         return; // dropped as stale by frame recycling
     busy_[s % params_.windowSlots()] = 0;
     bookings_.erase(it);
-    NOC_OBSERVE(observer_, onSchedBookingCleared(*this, abs_slot));
+    NOC_OBSERVE(observer_, SchedBookingCleared{this, abs_slot});
 }
 
 std::optional<SlotBooking>
@@ -362,7 +361,7 @@ OutputScheduler::localReset(Cycle now)
     lastBookedAbs_ = 0;
     dirty_ = false;
     ++resets_;
-    NOC_OBSERVE(observer_, onSchedLocalReset(*this, now));
+    NOC_OBSERVE(observer_, SchedLocalReset{this, now});
 }
 
 void

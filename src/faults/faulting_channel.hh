@@ -168,8 +168,8 @@ class FaultingChannel final : public ChannelFaultHook<T>,
             // notices the stuck link.
             stallReported_ = true;
             NOC_OBSERVE(shared_->observer,
-                        onFaultDetected(FaultKind::LinkStall, receiver_,
-                                        stallStart_, now));
+                        FaultDetected{FaultKind::LinkStall, receiver_,
+                                      stallStart_, now});
         }
         return true;
     }
@@ -244,8 +244,7 @@ class FaultingChannel final : public ChannelFaultHook<T>,
     noteInjected(FaultKind kind, Cycle now)
     {
         ++shared_->injected[static_cast<std::size_t>(kind)];
-        NOC_OBSERVE(shared_->observer,
-                    onFaultInjected(kind, receiver_, now));
+        NOC_OBSERVE(shared_->observer, FaultInjected{kind, receiver_, now});
     }
 
     FaultSiteShared *shared_;

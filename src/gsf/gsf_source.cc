@@ -48,8 +48,8 @@ GsfSourceUnit::allowStart(const Packet &pkt, Cycle now,
         if (st.injFrame >= newest) {
             // Reservations in all active frames used up.
             NOC_OBSERVE(observer_,
-                        onSourceThrottled(node(), pkt.flow,
-                                          StallReason::FrameQuota, now));
+                        SourceThrottled{node(), pkt.flow,
+                                        StallReason::FrameQuota, now});
             return false;
         }
         ++st.injFrame;

@@ -64,6 +64,7 @@ struct Flit
     {
         return type == FlitType::Head || type == FlitType::HeadTail;
     }
+    bool operator==(const Flit &) const = default;
 };
 
 /**
@@ -123,6 +124,8 @@ struct LookaheadFlit
     Cycle createdAt = 0;
     /** True if the quantum contains its packet's tail flit. */
     bool leadsTail = false;
+
+    bool operator==(const LookaheadFlit &) const = default;
 };
 
 } // namespace noc

@@ -26,6 +26,8 @@ struct Packet
     Cycle createdAt = 0;
     /** Cycle the packet entered the network interface queue. */
     Cycle enqueuedAt = 0;
+
+    bool operator==(const Packet &) const = default;
 };
 
 } // namespace noc

@@ -42,11 +42,9 @@ SinkUnit::tick(Cycle now)
         [[maybe_unused]] const Cycle at =
             wf->corruptedAt ? wf->corruptedAt : now;
         NOC_OBSERVE(observer_,
-                    onFaultDetected(FaultKind::DataCorrupt, node_, at,
-                                    now));
+                    FaultDetected{FaultKind::DataCorrupt, node_, at, now});
         NOC_OBSERVE(observer_,
-                    onFaultRecovered(FaultKind::DataCorrupt, node_, at,
-                                     now));
+                    FaultRecovered{FaultKind::DataCorrupt, node_, at, now});
     }
 
     if (creditReturn_)
@@ -55,7 +53,7 @@ SinkUnit::tick(Cycle now)
     ++flitsEjected_;
     if (metrics_)
         metrics_->onFlitEjected(flit.flow);
-    NOC_OBSERVE(observer_, onFlitEjected(node_, flit, now));
+    NOC_OBSERVE(observer_, FlitEjected{node_, flit, now});
     if (onEject_)
         onEject_(flit, now);
 
@@ -68,8 +66,7 @@ SinkUnit::tick(Cycle now)
         if (metrics_)
             metrics_->onPacketEjected(flit.flow, flit.createdAt, now);
         NOC_OBSERVE(observer_,
-                    onPacketDelivered(node_, flit.flow, flit.packet,
-                                      now));
+                    PacketDelivered{node_, flit.flow, flit.packet, now});
         pending_.erase(it);
     } else if (it->second > flit.pktSize) {
         panic("sink %u: packet %llu received more flits than its size %u",

@@ -34,7 +34,7 @@ SourceUnit::enqueue(const Packet &pkt)
               node_, pkt.src);
     queue_.push_back(pkt);
     queuedFlits_ += pkt.sizeFlits;
-    NOC_OBSERVE(observer_, onPacketAccepted(node_, pkt, pkt.enqueuedAt));
+    NOC_OBSERVE(observer_, PacketAccepted{node_, pkt, pkt.enqueuedAt});
     return true;
 }
 
@@ -79,8 +79,8 @@ SourceUnit::tick(Cycle now)
         }
         if (chosen == params_.numVCs) {
             NOC_OBSERVE(observer_,
-                        onSourceThrottled(node_, queue_.front().flow,
-                                          StallReason::NoVc, now));
+                        SourceThrottled{node_, queue_.front().flow,
+                                        StallReason::NoVc, now});
         }
         std::uint64_t frame_tag = 0;
         if (chosen < params_.numVCs &&
@@ -115,7 +115,7 @@ SourceUnit::tick(Cycle now)
         flit.payload = flitPayload(flit.flow, flit.flitNo);
 
         out_->send(now, WireFlit{flit, currentVC_});
-        NOC_OBSERVE(observer_, onFlitSourced(node_, flit, false, now));
+        NOC_OBSERVE(observer_, FlitSourced{node_, flit, false, now});
         --vcs_[currentVC_].credits;
         --queuedFlits_;
         ++sentFlits_;
@@ -125,8 +125,8 @@ SourceUnit::tick(Cycle now)
             sending_ = false;
     } else if (sending_) {
         NOC_OBSERVE(observer_,
-                    onSourceThrottled(node_, current_.flow,
-                                      StallReason::NoCredit, now));
+                    SourceThrottled{node_, current_.flow,
+                                    StallReason::NoCredit, now});
     }
 }
 

@@ -119,8 +119,8 @@ WormholeRouter::receiveFlits(Cycle now)
             // Flit arriving now may traverse the switch after the
             // remaining pipeline stages.
             NOC_OBSERVE(observer_,
-                        onFlitArrived(id_, static_cast<Port>(p),
-                                      wf->flit, false, now));
+                        FlitArrived{id_, static_cast<Port>(p),
+                                    wf->flit, false, now});
             vcPush(v, wf->flit, now + params_.routerStages - 1);
         }
     }
@@ -191,8 +191,8 @@ WormholeRouter::switchAllocAndTraverse(Cycle now)
 
         out_[outp]->send(now, WireFlit{flit, v.outVC});
         NOC_OBSERVE(observer_,
-                    onFlitForwarded(id_, static_cast<Port>(outp), flit,
-                                    false, now));
+                    FlitForwarded{id_, static_cast<Port>(outp), flit,
+                                  false, now});
         --o.credits;
         if (creditReturn_[win])
             creditReturn_[win]->send(

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "sim/logging.hh"
+#include "sim/report.hh"
 #include "sim/rng.hh"
 
 namespace noc
@@ -75,25 +76,6 @@ traceLaneName(std::size_t lane)
     if (lane < kNumPorts)
         return portName(static_cast<Port>(lane));
     return "NI";
-}
-
-/** Minimal JSON string escaping (quotes/backslash/control). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            out += ' ';
-        } else {
-            out += c;
-        }
-    }
-    return out;
 }
 
 /** `"stages":{...}` fragment shared by summary/flow/exemplar rows. */

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "harness/experiment.hh"
 #include "qos/allocation.hh"
 #include "qos/delay_bound.hh"
@@ -23,6 +25,15 @@ struct BoundCase
     double rate;
     std::uint64_t seed;
 };
+
+/// Prints a case by its fields. Without it gtest prints the raw bytes,
+/// which hold the address of `pattern` and so differ from run to run,
+/// and the test names built from them would too.
+void
+PrintTo(const BoundCase &bc, std::ostream *os)
+{
+    *os << bc.pattern << " rate " << bc.rate << " seed " << bc.seed;
+}
 
 class DelayBound4x4 : public ::testing::TestWithParam<BoundCase>
 {

@@ -32,9 +32,20 @@ namespace
 
 struct SchedCase
 {
+    SchedCase(std::uint32_t frame, std::uint32_t window,
+              std::uint32_t flows, double creditProb, std::uint64_t s)
+        : frameFlits(frame), windowFrames(window), numFlows(flows),
+          creditReturnProb(creditProb), seed(s)
+    {
+    }
+
     std::uint32_t frameFlits;
     std::uint32_t windowFrames;
     std::uint32_t numFlows;
+    /// gtest names a parameter it cannot print by its raw bytes, so
+    /// the alignment hole before the double is an explicit zero field:
+    /// left implicit, it carries stack garbage into the test names.
+    std::uint32_t padding = 0;
     double creditReturnProb;
     std::uint64_t seed;
 };
@@ -158,12 +169,22 @@ INSTANTIATE_TEST_SUITE_P(
 
 struct NetCase
 {
+    NetCase(std::uint32_t quantum, std::uint32_t frame, std::uint32_t spec,
+            std::uint32_t packet, bool specOn, bool resetOn,
+            std::uint64_t s)
+        : quantumFlits(quantum), frameFlits(frame), specBuffer(spec),
+          packetSize(packet), speculative(specOn), reset(resetOn), seed(s)
+    {
+    }
+
     std::uint32_t quantumFlits;
     std::uint32_t frameFlits;
     std::uint32_t specBuffer;
     std::uint32_t packetSize;
     bool speculative;
     bool reset;
+    /// Explicit zero padding, as in SchedCase.
+    std::uint8_t padding[6] = {};
     std::uint64_t seed;
 };
 

@@ -75,6 +75,7 @@ TEST(Report, JsonEscaping)
 {
     EXPECT_EQ(jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     EXPECT_EQ(jsonEscape(std::string(1, '\x01')), "\\u0001");
+    EXPECT_EQ(jsonEscape("tab\there\r"), "tab\\there\\r");
 }
 
 TEST(Report, UnknownFormatIsFatal)

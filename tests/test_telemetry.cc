@@ -67,7 +67,7 @@ TEST(ObserverMux, IgnoresNullAndDuplicates)
     EXPECT_EQ(mux.numTargets(), 1u);
 
     Flit f;
-    mux.onFlitEjected(3, f, 10);
+    mux.observe(FlitEjected{3, f, 10});
     EXPECT_EQ(log, (std::vector<std::string>{"a:eject@3"}));
 }
 
@@ -81,8 +81,8 @@ TEST(ObserverMux, FanOutInRegistrationOrder)
     mux.add(&b);
 
     Flit f;
-    mux.onFlitEjected(1, f, 5);
-    mux.onMissedSlot(2, Port::East, 6);
+    mux.observe(FlitEjected{1, f, 5});
+    mux.observe(MissedSlot{2, Port::East, 6});
     EXPECT_EQ(log, (std::vector<std::string>{"a:eject@1", "b:eject@1",
                                              "a:miss@2", "b:miss@2"}));
 }
@@ -99,7 +99,7 @@ TEST(ObserverMux, RemoveDetachesOneTarget)
     EXPECT_EQ(mux.numTargets(), 1u);
 
     Flit f;
-    mux.onFlitEjected(0, f, 1);
+    mux.observe(FlitEjected{0, f, 1});
     EXPECT_EQ(log, (std::vector<std::string>{"b:eject@0"}));
     mux.remove(&a); // absent: no-op
     EXPECT_EQ(mux.numTargets(), 1u);

@@ -2,19 +2,21 @@
  * @file
  * loft-observer-hook-parity
  *
- * The PR-4 bug class: a new virtual hook added to the observer base
- * (`loft-tidy: observer-base`, i.e. NetObserver) silently not forwarded
- * by ObserverMux — every mux consumer behind it goes deaf with no
- * compile- or run-time signal.
+ * A new virtual hook added to the observer base (`loft-tidy:
+ * observer-base`, i.e. NetObserver) must be a conscious decision for
+ * every consumer, not a silent no-op.
  *
  * Enforcement:
- *  - a `loft-tidy: complete-observer(strict)` class (the mux) must
- *    override every `on*` hook of the base; waivers are not allowed;
  *  - a `loft-tidy: complete-observer` class (NetworkAuditor,
- *    TelemetryCollector) must override every hook or consciously waive
- *    it with `loft-tidy: hook-ignored(onFoo)` next to the class;
+ *    TelemetryCollector, ...) must override every hook or consciously
+ *    waive it with `loft-tidy: hook-ignored(onFoo)` next to the class;
  *  - a waiver for a hook that is in fact overridden, or that the base
  *    does not declare, is itself flagged (stale waivers rot).
+ *
+ * Pass-through observers (ObserverMux, DeferredObserver) need no
+ * check: they forward whole NetEvent records through observe(), and
+ * the typed hooks are protected, so a per-hook forwarder that could
+ * miss one does not compile.
  *
  * The hook vocabulary is every identifier matching `on[A-Z]\w*`
  * declared with a parameter list inside the observer-base class body.
@@ -55,7 +57,6 @@ struct ObserverClass
 {
     const FileUnit *unit = nullptr;
     ClassDecl cls;
-    bool strict = false;
     std::set<std::string> overrides;
     std::vector<Annotation> ignores;
 };
@@ -77,16 +78,14 @@ checkObserverParity(const Context &ctx, std::vector<Diagnostic> &out)
         for (const ClassDecl &cls : ctx.factsOf(u).classes) {
             bool isBase = false;
             bool isComplete = false;
-            bool isStrict = false;
             std::vector<Annotation> ignores;
             for (const Annotation &a :
                  annotationsFor(u, cls, annotations)) {
                 if (a.directive == "observer-base")
                     isBase = true;
-                else if (a.directive == "complete-observer") {
+                else if (a.directive == "complete-observer")
                     isComplete = true;
-                    isStrict = a.arg == "strict";
-                } else if (a.directive == "hook-ignored")
+                else if (a.directive == "hook-ignored")
                     ignores.push_back(a);
             }
             if (isBase) {
@@ -97,7 +96,6 @@ checkObserverParity(const Context &ctx, std::vector<Diagnostic> &out)
                 ObserverClass oc;
                 oc.unit = &u;
                 oc.cls = cls;
-                oc.strict = isStrict;
                 oc.overrides = hookNamesIn(u, cls);
                 oc.ignores = std::move(ignores);
                 completes.push_back(std::move(oc));
@@ -115,15 +113,6 @@ checkObserverParity(const Context &ctx, std::vector<Diagnostic> &out)
     for (const ObserverClass &oc : completes) {
         std::set<std::string> waived;
         for (const Annotation &a : oc.ignores) {
-            if (oc.strict) {
-                report(*oc.unit, a.line, 1, kCheckObserverParity,
-                       "'" + oc.cls.name +
-                           "' is complete-observer(strict): waiving "
-                           "hook '" + a.arg + "' is not allowed — the "
-                           "mux must forward every event",
-                       out);
-                continue;
-            }
             if (!hooks.count(a.arg)) {
                 report(*oc.unit, a.line, 1, kCheckObserverParity,
                        "waiver for '" + a.arg + "' on '" +
@@ -148,11 +137,9 @@ checkObserverParity(const Context &ctx, std::vector<Diagnostic> &out)
                 continue;
             report(*oc.unit, oc.cls.line, oc.cls.col,
                    kCheckObserverParity,
-                   "'" + oc.cls.name + "' neither overrides nor " +
-                       (oc.strict ? std::string("(strict: cannot) ")
-                                  : std::string()) +
+                   "'" + oc.cls.name + "' neither overrides nor "
                        "waives observer hook '" + h +
-                       "'; events through this hook would be " +
+                       "'; events through this hook would be "
                        "silently lost",
                    out);
         }

@@ -14,8 +14,6 @@
  *     `on*` methods form the hook vocabulary;
  *   - `loft-tidy: complete-observer`        class must override or
  *     explicitly waive every hook;
- *   - `loft-tidy: complete-observer(strict)` class must override every
- *     hook, waivers are not allowed (the ObserverMux contract);
  *   - `loft-tidy: hook-ignored(onFoo)`      conscious waiver of one
  *     hook on a complete-observer class;
  *   - `loft-tidy: clocked-base`             intentional non-final
@@ -96,7 +94,7 @@ struct Annotation
 {
     int line = 0;
     std::string directive; ///< e.g. "complete-observer"
-    std::string arg;       ///< e.g. "strict" / "onFoo" (may be empty)
+    std::string arg;       ///< e.g. "onFoo" (may be empty)
 };
 
 /** A lexically discovered member-function definition (with a body). */

@@ -1,12 +1,11 @@
-// Known-bad fixture for loft-observer-hook-parity: the PR-4 bug class.
+// Known-bad fixture for loft-observer-hook-parity.
 //
-// The base gains a new hook (onFaultDetected) that the mux does not
-// forward — every consumer behind the mux silently goes deaf — and the
-// collector neither overrides nor waives it. The collector also keeps
-// a stale waiver for a hook it actually overrides.
+// The base gains a new hook (onFaultDetected) that the collector
+// neither overrides nor waives. The collector also keeps a stale
+// waiver for a hook it actually overrides.
 //
-// Expected: the check fires for the mux, the collector's missing hook,
-// and the stale waiver.
+// Expected: the check fires for the collector's missing hook and the
+// stale waiver.
 
 // loft-tidy: observer-base
 class NetObserver
@@ -16,15 +15,6 @@ class NetObserver
     virtual void onFlitArrived(int node, int flit) {}
     virtual void onFlitEjected(int node, int flit) {}
     virtual void onFaultDetected(int node, int cycle) {}
-};
-
-// loft-tidy: complete-observer(strict)
-class ObserverMux : public NetObserver
-{
-  public:
-    void onFlitArrived(int node, int flit) override {}
-    void onFlitEjected(int node, int flit) override {}
-    // BUG: onFaultDetected not forwarded.
 };
 
 // loft-tidy: complete-observer

@@ -1,7 +1,7 @@
 // Known-good fixture for loft-observer-hook-parity.
 //
-// The mux forwards every hook; the collector overrides what it counts
-// and consciously waives the rest.
+// The collector overrides what it counts and consciously waives the
+// rest.
 //
 // Expected: the check stays silent.
 
@@ -13,15 +13,6 @@ class NetObserver
     virtual void onFlitArrived(int node, int flit) {}
     virtual void onFlitEjected(int node, int flit) {}
     virtual void onFaultDetected(int node, int cycle) {}
-};
-
-// loft-tidy: complete-observer(strict)
-class ObserverMux : public NetObserver
-{
-  public:
-    void onFlitArrived(int node, int flit) override {}
-    void onFlitEjected(int node, int flit) override {}
-    void onFaultDetected(int node, int cycle) override {}
 };
 
 // loft-tidy: complete-observer
