@@ -27,6 +27,8 @@
 #include "faults/fault_traits.hh"
 #include "net/channel.hh"
 #include "net/instrument.hh"
+#include "sim/logging.hh"
+#include "sim/parallel.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
 
@@ -97,6 +99,7 @@ class FaultingChannel final : public ChannelFaultHook<T>,
     void
     processSend(Channel<T> &ch, Cycle now, T value) override
     {
+        requireSingleDomain();
         advanceStall(now);
         using Traits = FaultTraits<T>;
         if constexpr (Traits::droppable) {
@@ -160,6 +163,7 @@ class FaultingChannel final : public ChannelFaultHook<T>,
     bool
     stalled(Cycle now) override
     {
+        requireSingleDomain();
         advanceStall(now);
         if (now >= stallUntil_)
             return false;
@@ -187,6 +191,16 @@ class FaultingChannel final : public ChannelFaultHook<T>,
         bool armed = false;
         Cycle armedAt = 0;
     };
+
+    /** Streams advance from both ends of the link and FaultSiteShared
+     *  is unsynchronized: a second domain means concurrent workers. */
+    static void
+    requireSingleDomain()
+    {
+        if (par::currentDomain() > 0)
+            panic("Simulator: fault-instrumented channels cannot run "
+                  "concurrently; use a single worker");
+    }
 
     /** Advance @p st past @p now, arming on any event crossed. */
     void

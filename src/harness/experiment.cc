@@ -95,7 +95,8 @@ resolveWorkers(const RunConfig &config, bool faults_active)
     }
     if (faults_active && workers > 1) {
         warn("fault plan active: forcing intraRunWorkers %u -> 1 "
-             "(fault hooks mutate channel state on the send path)",
+             "(a link's fault streams advance from both ends and the "
+             "injected counters are shared across links)",
              workers);
         workers = 1;
     }

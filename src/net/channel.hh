@@ -95,20 +95,7 @@ class Channel : public PendingPort
         }
 #endif
         if (concurrent_) {
-            // Buffer on the sending thread; the simulator flushes at
-            // the cycle barrier. Register in the thread's dirty list on
-            // the first pending send so the flush walks only channels
-            // that carried traffic this cycle.
-            LOFT_PSAN_CHANNEL_SEND(psan_);
-            std::vector<PendingPort *> *dirty = par::ctx().dirty;
-            if (!dirty)
-                panic("Channel::send in concurrent mode outside a "
-                      "simulation phase");
-            if (pending_.empty())
-                // loft-tidy: pooled(reserved in Simulator::preparePlan)
-                dirty->push_back(this);
-            // loft-tidy: pooled(kPendingReserve in the constructor)
-            pending_.emplace_back(now + latency_, std::move(value));
+            buffer(now + latency_, std::move(value));
             return;
         }
         // loft-tidy: pooled(ring reserved to latency + 2 in the ctor)
@@ -166,27 +153,15 @@ class Channel : public PendingPort
     // PendingPort (called by the Simulator, between cycles / at the
     // per-cycle barrier only).
 
-    bool
+    /** Fault-hooked channels defer too (see deliverAt). */
+    void
     setConcurrent(bool on) override
     {
         if (!pending_.empty())
             panic("Channel::setConcurrent with unflushed pending sends");
         LOFT_PSAN_BARRIER_SEAM("Channel::setConcurrent");
         LOFT_PSAN_PORT_RESET(psan_);
-#if LOFT_AUDIT_ENABLED
-        // Fault hooks mutate channel state on the send path and may
-        // re-deliver out of band (deliverAt), neither of which is
-        // domain-buffered: decline, keeping this channel direct. The
-        // Simulator treats a declined port as fatal when it actually
-        // has concurrent workers (the harness forces fault plans to a
-        // single worker, where direct operation is safe).
-        if (on && faults_) {
-            concurrent_ = false;
-            return false;
-        }
-#endif
         concurrent_ = on;
-        return true;
     }
 
     // loft-tidy: steady-state-hot
@@ -194,12 +169,8 @@ class Channel : public PendingPort
     flushPending() override
     {
         LOFT_PSAN_BARRIER_SEAM("Channel::flushPending");
-        // Same-latency sends deliver in send order, and everything
-        // already in flight was sent in an earlier cycle, so appending
-        // keeps the queue sorted by delivery time.
         for (auto &entry : pending_)
-            // loft-tidy: pooled(ring plateaus at latency-bounded peak)
-            inFlight_.push_back(std::move(entry));
+            insertOrdered(std::move(entry));
         pending_.clear();
     }
 
@@ -209,31 +180,64 @@ class Channel : public PendingPort
 
     /**
      * Enqueue @p value for delivery at absolute cycle @p when,
-     * preserving delivery-time order. Fault-injection support (late
-     * re-delivery of lost messages); not part of the normal send path.
+     * preserving delivery-time order. Fault-injection support (the
+     * hook's forward path and late re-delivery of lost messages). In
+     * deferred mode it buffers like send() and the barrier flush
+     * inserts it in order.
      */
     void
     deliverAt(Cycle when, T value)
     {
-        if (concurrent_)
-            panic("Channel::deliverAt in concurrent mode");
-        // Binary search for the first entry with delivery time > when
-        // (upper bound), then shift-insert. Cold path: late re-delivery
-        // of a faulted message only.
-        std::size_t lo = 0;
-        std::size_t hi = inFlight_.size();
-        while (lo < hi) {
-            const std::size_t mid = (lo + hi) / 2;
-            if (when < inFlight_[mid].first)
-                hi = mid;
-            else
-                lo = mid + 1;
+        if (concurrent_) {
+            buffer(when, std::move(value));
+            return;
         }
-        inFlight_.insertAt(lo, {when, std::move(value)});
+        insertOrdered({when, std::move(value)});
     }
 #endif
 
   private:
+    /** Buffer until the barrier flush; the first pending value enlists
+     *  in the thread's dirty list, so the flush walks only busy channels. */
+    // loft-tidy: steady-state-hot
+    void
+    buffer(Cycle when, T value)
+    {
+        LOFT_PSAN_CHANNEL_SEND(psan_);
+        std::vector<PendingPort *> *dirty = par::ctx().dirty;
+        if (!dirty)
+            panic("Channel::send in concurrent mode outside a "
+                  "simulation phase");
+        if (pending_.empty())
+            // loft-tidy: pooled(reserved in Simulator::preparePlan)
+            dirty->push_back(this);
+        // loft-tidy: pooled(kPendingReserve in the constructor)
+        pending_.emplace_back(when, std::move(value));
+    }
+
+    /** Insert at the upper bound of @p entry's due time. A plain send is
+     *  never due before the tail (append); a fault re-delivery can be. */
+    // loft-tidy: steady-state-hot
+    void
+    insertOrdered(std::pair<Cycle, T> &&entry)
+    {
+        if (inFlight_.empty() || inFlight_.back().first <= entry.first) {
+            // loft-tidy: pooled(ring plateaus at latency-bounded peak)
+            inFlight_.push_back(std::move(entry));
+            return;
+        }
+        std::size_t lo = 0;
+        std::size_t hi = inFlight_.size();
+        while (lo < hi) {
+            const std::size_t mid = (lo + hi) / 2;
+            if (entry.first < inFlight_[mid].first)
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        inFlight_.insertAt(lo, std::move(entry));
+    }
+
     /** Per-cycle send burst covered without growth (sends per cycle
      *  per channel are 1 on every wire; credit recovery can burst). */
     static constexpr std::size_t kPendingReserve = 4;

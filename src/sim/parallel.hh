@@ -41,14 +41,13 @@ class PendingPort
     virtual ~PendingPort() = default;
 
     /**
-     * Enter/leave deferred (concurrent-safe) mode. Returns false if the
-     * port must stay direct (e.g. a fault-instrumented channel); the
-     * caller decides whether that is fatal. @pre no unflushed pending
-     * sends (the simulator toggles this only between cycles).
+     * Enter/leave deferred (concurrent-safe) mode; no port may decline.
+     * @pre no unflushed pending sends (the simulator toggles this only
+     * between cycles).
      */
-    virtual bool setConcurrent(bool on) = 0;
+    virtual void setConcurrent(bool on) = 0;
 
-    /** Publish pending sends into the in-flight queue, in send order. */
+    /** Publish pending sends into the in-flight queue, by due time. */
     virtual void flushPending() = 0;
 };
 

@@ -111,25 +111,6 @@ Simulator::setWorkers(unsigned workers)
 }
 
 void
-Simulator::step()
-{
-    // Poll-based active set: quiescent components skip their tick but
-    // are re-examined every cycle. quiescent() is a cheap state probe
-    // (a few empty() checks) while tick() walks ports, VCs and
-    // reservation tables, so the poll pays for itself whenever any
-    // component idles for more than a handful of cycles.
-    for (const Entry &e : components_) {
-        if (e.component->quiescent()) {
-            ++ticksSkipped_;
-            continue;
-        }
-        e.component->tick(now_);
-        ++ticksExecuted_;
-    }
-    ++now_;
-}
-
-void
 Simulator::preparePlan()
 {
     plan_ = std::make_unique<Plan>();
@@ -148,16 +129,9 @@ Simulator::preparePlan()
         max_key = std::max(max_key, components_[i].key);
     }
 
-    if (first_keyed == none) {
-        // Nothing partitionable: everything is prologue.
-        plan.prologueEnd = components_.size();
-        plan.epilogueBegin = components_.size();
-        planDirty_ = false;
-        return;
-    }
-
+    // With nothing keyed the whole cycle is prologue.
     plan.prologueEnd = first_keyed;
-    plan.epilogueBegin = last_keyed + 1;
+    plan.epilogueBegin = first_keyed == none ? none : last_keyed + 1;
     for (std::size_t i = plan.prologueEnd; i < plan.epilogueBegin; ++i) {
         if (!components_[i].keyed)
             panic("Simulator: component %zu has no spatial key but is "
@@ -189,54 +163,31 @@ Simulator::preparePlan()
     planDirty_ = false;
 }
 
-bool
+void
 Simulator::beginParallelWindow()
 {
     if (planDirty_) {
         teardownPool();
         preparePlan();
     }
-    if (plan_->epilogueBegin <= plan_->prologueEnd)
-        return false; // no keyed components: run serially
-
-    // Deferred mode is the canonical semantics whenever the network
-    // registered its channels: even a one-worker run buffers sends and
-    // flushes them at end-of-cycle, so quiescence probes always see
-    // start-of-cycle state and every worker count is bit-identical.
-    deferredPorts_.clear();
-    deferredPorts_.reserve(ports_.size());
-    for (PendingPort *p : ports_) {
-        if (p->setConcurrent(true))
-            deferredPorts_.push_back(p);
-    }
-    if (deferredPorts_.size() != ports_.size()) {
-        // Some channel declined (fault-instrumented). Safe on a single
-        // thread — fall back to the legacy direct step — but fatal with
-        // concurrent workers.
-        for (PendingPort *p : deferredPorts_)
-            p->setConcurrent(false);
-        deferredPorts_.clear();
-        if (workers_ > 1)
-            panic("Simulator: fault-instrumented channels cannot run "
-                  "concurrently; use a single worker");
-        return false;
-    }
-    if (deferredPorts_.empty() && workers_ <= 1)
-        return false; // nothing to defer: the direct step is identical
+    // Deferred mode is the only cycle semantics: even a one-worker run
+    // buffers sends and flushes them at end-of-cycle, so quiescence
+    // probes always see start-of-cycle state and every worker count is
+    // bit-identical.
+    for (PendingPort *p : ports_)
+        p->setConcurrent(true);
     if (workers_ > 1)
         ensurePool();
     for (DomainMerged *m : merged_)
         m->beginParallel(workers_);
     par::ctx().dirty = &plan_->dirty[workers_];
-    return true;
 }
 
 void
 Simulator::endParallelWindow()
 {
-    for (PendingPort *p : deferredPorts_)
+    for (PendingPort *p : ports_)
         p->setConcurrent(false);
-    deferredPorts_.clear();
     for (DomainMerged *m : merged_)
         m->endParallel();
     par::ctx().dirty = nullptr;
@@ -303,25 +254,36 @@ Simulator::runDomain(unsigned domain)
 }
 
 void
-Simulator::stepParallel()
+Simulator::runSerial(std::size_t begin, std::size_t end)
+{
+    // Poll-based active set: quiescent components skip their tick but
+    // are re-examined every cycle. quiescent() is a cheap state probe
+    // (a few empty() checks) while tick() walks ports, VCs and
+    // reservation tables, so the poll pays for itself whenever any
+    // component idles for more than a handful of cycles.
+    for (std::size_t i = begin; i < end; ++i) {
+        Clocked *c = components_[i].component;
+        if (c->quiescent()) {
+            ++ticksSkipped_;
+            continue;
+        }
+        c->tick(now_);
+        ++ticksExecuted_;
+    }
+}
+
+void
+Simulator::runCycle()
 {
     Plan &plan = *plan_;
     par::DomainContext &cx = par::ctx();
 
     // Prologue: keyless components before the mesh (the traffic
-    // generator), serially, exactly as in a serial step. Sends land on
-    // the serial dirty list and flush with everything else.
+    // generator), serially. Sends land on the serial dirty list and
+    // flush with everything else.
     cx.dirty = &plan.dirty[workers_];
     LOFT_PSAN_SET_PHASE(SimPhase::Prologue, now_);
-    for (std::size_t i = 0; i < plan.prologueEnd; ++i) {
-        const Entry &e = components_[i];
-        if (e.component->quiescent()) {
-            ++ticksSkipped_;
-            continue;
-        }
-        e.component->tick(now_);
-        ++ticksExecuted_;
-    }
+    runSerial(0, plan.prologueEnd);
 
     // Partitioned phase: workers run domains 1..W-1, this thread runs
     // domain 0. The barrier pair brackets all cross-domain reads. With
@@ -349,16 +311,7 @@ Simulator::stepParallel()
     // auditor, telemetry) observe the same post-delivery state they
     // would in a serial cycle.
     LOFT_PSAN_SET_PHASE(SimPhase::Epilogue, now_);
-    for (std::size_t i = plan.epilogueBegin; i < components_.size();
-         ++i) {
-        const Entry &e = components_[i];
-        if (e.component->quiescent()) {
-            ++ticksSkipped_;
-            continue;
-        }
-        e.component->tick(now_);
-        ++ticksExecuted_;
-    }
+    runSerial(plan.epilogueBegin, components_.size());
 
     for (Plan::Counters &c : plan.counters) {
         ticksExecuted_ += c.executed;
@@ -384,18 +337,7 @@ Simulator::runEnd(Cycle cycles) const
 void
 Simulator::run(Cycle cycles)
 {
-    const Cycle end = runEnd(cycles);
-    const std::uint64_t allocs0 = heapAllocCount();
-    if (beginParallelWindow()) {
-        while (now_ < end)
-            stepParallel();
-        endParallelWindow();
-        lastRunAllocs_ = heapAllocCount() - allocs0;
-        return;
-    }
-    while (now_ < end)
-        step();
-    lastRunAllocs_ = heapAllocCount() - allocs0;
+    runUntil(nullptr, cycles);
 }
 
 bool
@@ -403,28 +345,18 @@ Simulator::runUntil(const std::function<bool()> &done, Cycle max_cycles)
 {
     const Cycle end = runEnd(max_cycles);
     const std::uint64_t allocs0 = heapAllocCount();
-    if (beginParallelWindow()) {
-        bool fired = false;
-        while (now_ < end) {
-            if (done()) {
-                fired = true;
-                break;
-            }
-            stepParallel();
-        }
-        endParallelWindow();
-        lastRunAllocs_ = heapAllocCount() - allocs0;
-        return fired || done();
-    }
+    beginParallelWindow();
+    bool fired = false;
     while (now_ < end) {
-        if (done()) {
-            lastRunAllocs_ = heapAllocCount() - allocs0;
-            return true;
+        if (done && done()) {
+            fired = true;
+            break;
         }
-        step();
+        runCycle();
     }
+    endParallelWindow();
     lastRunAllocs_ = heapAllocCount() - allocs0;
-    return done();
+    return fired || (done && done());
 }
 
 std::size_t

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "net/channel.hh"
 
 namespace noc
@@ -71,6 +74,35 @@ TEST(Channel, MinimumLatencyIsOne)
     // guarantee; the constructor must reject it.
     EXPECT_DEATH(Channel<int>(0), "latency");
 }
+
+#if LOFT_AUDIT_ENABLED
+
+TEST(Channel, DeferredFlushKeepsDeliveryOrder)
+{
+    // A fault re-delivery due far ahead is already in flight when
+    // earlier-due values are flushed: the barrier flush must insert
+    // them by delivery time, same-time values in send order.
+    Channel<int> ch(1);
+    std::vector<PendingPort *> dirty;
+    par::ctx().dirty = &dirty;
+    ch.setConcurrent(true);
+    ch.deliverAt(60, 1); // cycle 10: the resync horizon
+    ch.send(10, 2);      // due 11
+    ch.flushPending();
+    ch.send(11, 3);      // due 12
+    ch.deliverAt(12, 4); // due 12, after 3
+    ch.flushPending();
+    par::ctx().dirty = nullptr;
+    ch.setConcurrent(false);
+
+    EXPECT_EQ(ch.tryReceive(11), std::optional<int>(2));
+    EXPECT_EQ(ch.tryReceive(12), std::optional<int>(3));
+    EXPECT_EQ(ch.tryReceive(12), std::optional<int>(4));
+    EXPECT_FALSE(ch.ready(59));
+    EXPECT_EQ(ch.tryReceive(60), std::optional<int>(1));
+}
+
+#endif // LOFT_AUDIT_ENABLED
 
 TEST(Channel, ReceiveWithoutReadyPanics)
 {

@@ -18,6 +18,8 @@
 #include "harness/sweep.hh"
 #include "net/flit.hh"
 #include "qos/allocation.hh"
+#include "sim/simulator.hh"
+#include "traffic/generator.hh"
 
 namespace noc
 {
@@ -100,84 +102,114 @@ struct RecordingObserver final : NetObserver
     }
 };
 
+/**
+ * Send @p value at cycle @p now as a component tick would: directly, or
+ * (@p deferred) buffered on a dirty list and published by the cycle's
+ * barrier flush, as every Simulator window does.
+ */
+template <typename T>
+void
+sendInMode(Channel<T> &ch, bool deferred, Cycle now, T value)
+{
+    if (!deferred) {
+        ch.send(now, std::move(value));
+        return;
+    }
+    std::vector<PendingPort *> dirty;
+    par::ctx().dirty = &dirty;
+    ch.setConcurrent(true);
+    ch.send(now, std::move(value));
+    par::ctx().dirty = nullptr;
+    EXPECT_TRUE(ch.empty()) << "deferred sends stay pending until the flush";
+    ASSERT_EQ(dirty.size(), 1u) << "one dirty-list entry per cycle";
+    dirty.front()->flushPending();
+    ch.setConcurrent(false);
+}
+
 TEST(FaultingChannel, CreditLossResynchronizesLate)
 {
-    FaultPlan plan;
-    plan.enabled = true;
-    plan.creditLossRate = 1.0; // every send faulted
-    plan.resyncLatency = 50;
-    FaultInjector inj(plan);
-    RecordingObserver obs;
-    inj.setObserver(&obs);
+    for (const bool deferred : {false, true}) {
+        SCOPED_TRACE(deferred ? "deferred" : "direct");
+        FaultPlan plan;
+        plan.enabled = true;
+        plan.creditLossRate = 1.0; // every send faulted
+        plan.resyncLatency = 50;
+        FaultInjector inj(plan);
+        RecordingObserver obs;
+        inj.setObserver(&obs);
 
-    Channel<ActualCreditMsg> ch(1);
-    inj.instrument(ch, LinkClass::ActualCredit, 3);
-    ASSERT_EQ(inj.faultedLinks(), 1u);
+        Channel<ActualCreditMsg> ch(1);
+        inj.instrument(ch, LinkClass::ActualCredit, 3);
+        ASSERT_EQ(inj.faultedLinks(), 1u);
 
-    ch.send(10, ActualCreditMsg{});
-    EXPECT_FALSE(ch.ready(11)) << "lost credit must not arrive on time";
-    // Resync rides on top of the wire delay: send at 10, latency 1,
-    // resyncLatency 50 -> re-delivery at 61, never earlier.
-    EXPECT_FALSE(ch.ready(60));
-    auto msg = ch.tryReceive(61);
-    ASSERT_TRUE(msg.has_value());
-    EXPECT_TRUE(msg->fault.resync);
-    EXPECT_FALSE(msg->fault.corrupted);
-    EXPECT_EQ(msg->fault.kind, FaultKind::CreditLoss);
-    EXPECT_EQ(msg->fault.faultAt, 10u);
-    EXPECT_EQ(inj.injectedCounts()[static_cast<std::size_t>(
-                  FaultKind::CreditLoss)],
-              1u);
+        sendInMode(ch, deferred, 10, ActualCreditMsg{});
+        EXPECT_FALSE(ch.ready(11)) << "lost credit must not arrive on time";
+        // Resync rides on top of the wire delay: send at 10, latency 1,
+        // resyncLatency 50 -> re-delivery at 61, never earlier.
+        EXPECT_FALSE(ch.ready(60));
+        auto msg = ch.tryReceive(61);
+        ASSERT_TRUE(msg.has_value());
+        EXPECT_TRUE(msg->fault.resync);
+        EXPECT_FALSE(msg->fault.corrupted);
+        EXPECT_EQ(msg->fault.kind, FaultKind::CreditLoss);
+        EXPECT_EQ(msg->fault.faultAt, 10u);
+        EXPECT_EQ(inj.injectedCounts()[static_cast<std::size_t>(
+                      FaultKind::CreditLoss)],
+                  1u);
 
-    // The receiver-side CRC check applies the resync and reports the
-    // loss as detected + recovered at re-delivery time.
-    std::uint64_t discarded = 0;
-    EXPECT_TRUE(acceptCredit(*msg, &obs, 3, 61, discarded));
-    EXPECT_EQ(discarded, 0u);
-    ASSERT_EQ(obs.detected.size(), 1u);
-    EXPECT_EQ(obs.detected[0].kind, FaultKind::CreditLoss);
-    ASSERT_EQ(obs.recovered.size(), 1u);
-    EXPECT_EQ(obs.recovered[0].now, 61u);
+        // The receiver-side CRC check applies the resync and reports the
+        // loss as detected + recovered at re-delivery time.
+        std::uint64_t discarded = 0;
+        EXPECT_TRUE(acceptCredit(*msg, &obs, 3, 61, discarded));
+        EXPECT_EQ(discarded, 0u);
+        ASSERT_EQ(obs.detected.size(), 1u);
+        EXPECT_EQ(obs.detected[0].kind, FaultKind::CreditLoss);
+        ASSERT_EQ(obs.recovered.size(), 1u);
+        EXPECT_EQ(obs.recovered[0].now, 61u);
+    }
 }
 
 TEST(FaultingChannel, CreditCorruptDeliversGarbledCopyThenResync)
 {
-    FaultPlan plan;
-    plan.enabled = true;
-    plan.creditCorruptRate = 1.0;
-    plan.resyncLatency = 40;
-    FaultInjector inj(plan);
-    RecordingObserver obs;
-    inj.setObserver(&obs);
+    for (const bool deferred : {false, true}) {
+        SCOPED_TRACE(deferred ? "deferred" : "direct");
+        FaultPlan plan;
+        plan.enabled = true;
+        plan.creditCorruptRate = 1.0;
+        plan.resyncLatency = 40;
+        FaultInjector inj(plan);
+        RecordingObserver obs;
+        inj.setObserver(&obs);
 
-    Channel<VirtualCreditMsg> ch(1);
-    inj.instrument(ch, LinkClass::VirtualCredit, 5);
+        Channel<VirtualCreditMsg> ch(1);
+        inj.instrument(ch, LinkClass::VirtualCredit, 5);
 
-    VirtualCreditMsg vc;
-    vc.departSlot = 7;
-    ch.send(10, vc);
+        VirtualCreditMsg vc;
+        vc.departSlot = 7;
+        sendInMode(ch, deferred, 10, vc);
 
-    // The garbled copy arrives on time and fails its CRC.
-    auto garbled = ch.tryReceive(11);
-    ASSERT_TRUE(garbled.has_value());
-    EXPECT_TRUE(garbled->fault.corrupted);
-    std::uint64_t discarded = 0;
-    EXPECT_FALSE(acceptCredit(*garbled, &obs, 5, 11, discarded));
-    EXPECT_EQ(discarded, 1u);
-    ASSERT_EQ(obs.detected.size(), 1u);
-    EXPECT_EQ(obs.detected[0].kind, FaultKind::CreditCorrupt);
+        // The garbled copy arrives on time and fails its CRC.
+        auto garbled = ch.tryReceive(11);
+        ASSERT_TRUE(garbled.has_value());
+        EXPECT_TRUE(garbled->fault.corrupted);
+        std::uint64_t discarded = 0;
+        EXPECT_FALSE(acceptCredit(*garbled, &obs, 5, 11, discarded));
+        EXPECT_EQ(discarded, 1u);
+        ASSERT_EQ(obs.detected.size(), 1u);
+        EXPECT_EQ(obs.detected[0].kind, FaultKind::CreditCorrupt);
 
-    // The intact original follows at the resynchronization horizon
-    // (wire latency + resyncLatency after the send).
-    EXPECT_FALSE(ch.ready(50));
-    auto resync = ch.tryReceive(51);
-    ASSERT_TRUE(resync.has_value());
-    EXPECT_TRUE(resync->fault.resync);
-    EXPECT_FALSE(resync->fault.corrupted);
-    EXPECT_EQ(resync->departSlot, 7u);
-    EXPECT_TRUE(acceptCredit(*resync, &obs, 5, 51, discarded));
-    ASSERT_EQ(obs.recovered.size(), 1u);
-    EXPECT_EQ(obs.recovered[0].kind, FaultKind::CreditCorrupt);
+        // The intact original follows at the resynchronization horizon
+        // (wire latency + resyncLatency after the send).
+        EXPECT_FALSE(ch.ready(50));
+        auto resync = ch.tryReceive(51);
+        ASSERT_TRUE(resync.has_value());
+        EXPECT_TRUE(resync->fault.resync);
+        EXPECT_FALSE(resync->fault.corrupted);
+        EXPECT_EQ(resync->departSlot, 7u);
+        EXPECT_TRUE(acceptCredit(*resync, &obs, 5, 51, discarded));
+        ASSERT_EQ(obs.recovered.size(), 1u);
+        EXPECT_EQ(obs.recovered[0].kind, FaultKind::CreditCorrupt);
+    }
 }
 
 TEST(FaultingChannel, LookaheadDropArrivesCrcDead)
@@ -373,6 +405,75 @@ TEST(FaultRuns, FaultedRunsAreDeterministic)
     EXPECT_NE(sweepFingerprint(faultyRun(c)),
               sweepFingerprint(faultyRun(other)));
 }
+
+TEST(FaultRuns, SilentPlanIsBitIdenticalToNoPlan)
+{
+    if (!kAuditCompiledIn)
+        GTEST_SKIP() << "fault hooks compiled out";
+
+    // An active plan whose faults can only fire after the run ends
+    // instruments every link yet must leave the model untouched: fault
+    // runs share the canonical deferred cycle with every other run.
+    for (const NetKind kind : {NetKind::Loft, NetKind::Gsf,
+                               NetKind::Wormhole}) {
+        for (const double load : {0.1, 0.3}) {
+            for (const std::uint64_t seed : {1u, 7u, 42u}) {
+                RunConfig bare = faultyLoft(seed, FaultPlan{});
+                bare.kind = kind;
+                bare.gsf.frameSizeFlits = 500;
+                RunConfig silent = bare;
+                silent.faults.enabled = true;
+                silent.faults.linkStallRate = 1e-3;
+                silent.faults.dataCorruptRate = 1e-3;
+                silent.faults.startCycle =
+                    bare.warmupCycles + bare.measureCycles + 1;
+                silent.faults.autoRecovery = false;
+
+                const RunResult want = faultyRun(bare, load);
+                RunResult got = faultyRun(silent, load);
+                // Only a FaultMonitor reports these; the bare run has
+                // none attached.
+                got.packetSurvivalRate = want.packetSurvivalRate;
+                got.faultDetectionP99 = want.faultDetectionP99;
+                got.faultRecoveryP99 = want.faultRecoveryP99;
+                EXPECT_EQ(sweepFingerprint(want), sweepFingerprint(got))
+                    << "kind " << static_cast<int>(kind) << ", load "
+                    << load << ", seed " << seed;
+            }
+        }
+    }
+}
+
+#if LOFT_AUDIT_ENABLED
+
+TEST(FaultRunsDeathTest, ConcurrentWorkersPanicAtTheFaultSite)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            FaultPlan plan;
+            plan.enabled = true;
+            plan.linkStallRate = 1e-3;
+            const RunConfig c = faultyLoft(1, plan);
+            Mesh2D mesh(c.meshWidth, c.meshHeight);
+            FaultInjector inj(plan);
+            auto net = buildNetwork(c, mesh, &inj);
+            TrafficPattern p = uniformPattern(mesh);
+            setEqualSharesByMaxFlows(p.flows, 16);
+            net->registerFlows(p.flows);
+            TrafficGenerator gen(*net, c.packetSizeFlits, c.seed);
+            gen.configure(p.flows, uniformRates(p.flows.size(), 0.3));
+            Simulator sim;
+            sim.add(&gen);
+            net->attach(sim);
+            sim.setWorkers(2);
+            sim.run(200);
+        },
+        "fault-instrumented channels cannot run concurrently; use a "
+        "single worker");
+}
+
+#endif // LOFT_AUDIT_ENABLED
 
 TEST(FaultRuns, NonLoftNetworksSeeOnlyFabricFaultClasses)
 {

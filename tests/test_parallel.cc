@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <utility>
@@ -64,9 +65,17 @@ smallPattern()
 
 struct MatrixCase
 {
+    MatrixCase(NetKind k, bool auditOn, bool telemetryOn)
+        : kind(k), audit(auditOn), telemetry(telemetryOn)
+    {
+    }
+
     NetKind kind;
     bool audit;
     bool telemetry;
+    /// Explicit zero padding, as in SchedCase: gtest names the case by
+    /// its raw bytes, so the tail must not carry stack garbage.
+    std::uint8_t padding[2] = {};
 };
 
 std::string
