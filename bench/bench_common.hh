@@ -11,8 +11,9 @@
  * parallel sweep engine (src/harness/sweep.hh); LOFT_BENCH_THREADS
  * overrides the worker count (default: hardware concurrency). Results
  * are bit-identical at any thread count, so parallelism only changes
- * wall time. JSON helpers emit the BENCH_*.json artifacts consumed by
- * scripts/check_bench.py (see docs/BENCH.md).
+ * wall time. The BENCH_*.json artifacts consumed by
+ * scripts/check_bench.py (see docs/BENCH.md) are written through
+ * benchJsonWriter() and noc::writeTextFile (sim/json.hh).
  */
 
 #ifndef NOC_BENCH_BENCH_COMMON_HH
@@ -29,6 +30,7 @@
 #include "harness/sweep.hh"
 #include "qos/allocation.hh"
 #include "qos/group_metrics.hh"
+#include "sim/json.hh"
 #include "sim/report.hh"
 
 namespace noc::bench
@@ -98,126 +100,25 @@ printRule()
                 "---------------------\n");
 }
 
-/**
- * Minimal ordered JSON object builder for BENCH_*.json artifacts.
- * Supports the flat-with-nested-objects shape those files use; no
- * arrays. String values go through noc::jsonEscape; keys are
- * bench-controlled identifiers and are written as is.
- */
-class Json
+/** A BENCH_*.json report writer: indented, doubles at %.17g. */
+inline JsonWriter
+benchJsonWriter(std::string &out)
 {
-  public:
-    Json &
-    set(const std::string &key, double v)
-    {
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "%.17g", v);
-        return raw(key, buf);
-    }
-
-    Json &
-    set(const std::string &key, std::uint64_t v)
-    {
-        return raw(key, std::to_string(v));
-    }
-
-    Json &
-    set(const std::string &key, unsigned v)
-    {
-        return raw(key, std::to_string(v));
-    }
-
-    Json &
-    set(const std::string &key, bool v)
-    {
-        return raw(key, v ? "true" : "false");
-    }
-
-    Json &
-    set(const std::string &key, const std::string &v)
-    {
-        return raw(key, "\"" + jsonEscape(v) + "\"");
-    }
-
-    Json &
-    set(const std::string &key, const char *v)
-    {
-        return set(key, std::string(v));
-    }
-
-    Json &
-    set(const std::string &key, const Json &nested)
-    {
-        return raw(key, nested.str());
-    }
-
-    /** Render with two-space indentation. */
-    std::string
-    str(int level = 0) const
-    {
-        const std::string pad(2 * (level + 1), ' ');
-        std::string out = "{";
-        for (std::size_t i = 0; i < fields_.size(); ++i) {
-            out += i ? ",\n" : "\n";
-            out += pad + "\"" + fields_[i].first +
-                   "\": " + indented(fields_[i].second, level + 1);
-        }
-        out += "\n" + std::string(2 * level, ' ') + "}";
-        return out;
-    }
-
-  private:
-    Json &
-    raw(const std::string &key, std::string value)
-    {
-        fields_.emplace_back(key, std::move(value));
-        return *this;
-    }
-
-    /** Re-indent a pre-rendered nested object to this nesting level. */
-    static std::string
-    indented(const std::string &rendered, int level)
-    {
-        std::string out;
-        for (char c : rendered) {
-            out += c;
-            if (c == '\n')
-                out += std::string(2 * level, ' ');
-        }
-        return out;
-    }
-
-    std::vector<std::pair<std::string, std::string>> fields_;
-};
-
-/** The per-execution block of a BENCH_sweep.json report. */
-inline Json
-summaryJson(const SweepSummary &s)
-{
-    Json j;
-    j.set("wall_sec", s.wallSeconds)
-        .set("runs_per_sec", s.runsPerSecond)
-        .set("cycles_per_sec", s.cyclesPerSecond)
-        .set("p50_run_ms", s.p50RunSeconds * 1e3)
-        .set("p99_run_ms", s.p99RunSeconds * 1e3)
-        .set("threads", s.threadsUsed)
-        .set("intra_run_workers", s.intraRunWorkers)
-        .set("hw_threads", s.hwThreads);
-    return j;
+    return JsonWriter(out, JsonWriter::Layout::Indented, 17);
 }
 
-/** Write @p json to @p path (with a trailing newline). */
-inline bool
-writeJsonFile(const std::string &path, const Json &json)
+/** The per-execution block of a BENCH_sweep.json report. */
+inline void
+writeSummary(JsonWriter &w, const SweepSummary &s)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    const std::string body = json.str() + "\n";
-    const bool ok =
-        std::fwrite(body.data(), 1, body.size(), f) == body.size();
-    std::fclose(f);
-    return ok;
+    w.beginObject().field("wall_sec", s.wallSeconds);
+    w.field("runs_per_sec", s.runsPerSecond);
+    w.field("cycles_per_sec", s.cyclesPerSecond);
+    w.field("p50_run_ms", s.p50RunSeconds * 1e3);
+    w.field("p99_run_ms", s.p99RunSeconds * 1e3);
+    w.field("threads", s.threadsUsed);
+    w.field("intra_run_workers", s.intraRunWorkers);
+    w.field("hw_threads", s.hwThreads).endObject();
 }
 
 } // namespace noc::bench

@@ -35,20 +35,6 @@ const std::vector<double> kFaultRates{0.0, 1e-5, 1e-4, 5e-4, 1e-3};
 const std::vector<std::uint64_t> kSeeds{1, 2, 3};
 constexpr double kLoad = 0.2;
 
-const char *
-kindName(NetKind kind)
-{
-    switch (kind) {
-      case NetKind::Loft:
-        return "loft";
-      case NetKind::Gsf:
-        return "gsf";
-      case NetKind::Wormhole:
-        return "wormhole";
-    }
-    return "?";
-}
-
 std::string
 rateLabel(double rate)
 {
@@ -185,17 +171,25 @@ main(int argc, char **argv)
     const SweepResults sweep =
         runSweep(sc, [&](const SweepCase &) { return pattern; });
 
+    // The report streams alongside the tables (written with --json).
+    std::string body;
+    JsonWriter w = noc::bench::benchJsonWriter(body);
+    w.beginObject().field("bench", "bench_faults").field("schema", 1);
+    w.key("config").beginObject().field("mesh", "4x4");
+    w.field("load", kLoad).field("seeds", kSeeds.size());
+    w.field("warmup_cycles", sc.base.warmupCycles);
+    w.field("measure_cycles", sc.base.measureCycles).endObject();
+    w.key("networks").beginObject();
     std::uint64_t total_watchdogs = 0;
-    noc::bench::Json networks;
     for (NetKind kind :
          {NetKind::Loft, NetKind::Gsf, NetKind::Wormhole}) {
-        std::printf("\n%s\n", kindName(kind));
+        std::printf("\n%s\n", netKindName(kind));
         noc::bench::printRule();
         std::printf("%-8s %9s %9s %9s %8s %9s %9s %9s\n", "rate",
                     "injected", "detected", "recovered", "dropped",
                     "survival", "p99 lat", "det p99");
         noc::bench::printRule();
-        noc::bench::Json rates;
+        w.key(netKindName(kind)).beginObject();
         for (double rate : kFaultRates) {
             const std::string label = rateLabel(rate);
             const Cell cell = summarizeCell(sweep, kind, label);
@@ -209,20 +203,20 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(cell.dropped),
                         cell.survival, cell.p99Latency, cell.detectP99,
                         cell.watchdogs ? "  WATCHDOG" : "");
-            noc::bench::Json j;
-            j.set("survival", cell.survival)
-                .set("p99_latency", cell.p99Latency)
-                .set("detect_p99", cell.detectP99)
-                .set("recover_p99", cell.recoverP99)
-                .set("injected", cell.injected)
-                .set("detected", cell.detected)
-                .set("recovered", cell.recovered)
-                .set("dropped", cell.dropped)
-                .set("watchdogs", cell.watchdogs);
-            rates.set(label, j);
+            w.key(label).beginObject().field("survival", cell.survival);
+            w.field("p99_latency", cell.p99Latency);
+            w.field("detect_p99", cell.detectP99);
+            w.field("recover_p99", cell.recoverP99);
+            w.field("injected", cell.injected).field("detected", cell.detected);
+            w.field("recovered", cell.recovered).field("dropped", cell.dropped);
+            w.field("watchdogs", cell.watchdogs).endObject();
         }
-        networks.set(kindName(kind), rates);
+        w.endObject();
     }
+    w.endObject().key("sweep");
+    noc::bench::writeSummary(w, sweep.summary);
+    w.field("watchdogs", total_watchdogs).endObject();
+    body += '\n';
 
     noc::bench::printRule();
     std::printf("expected shape: survival stays near 1.0 through 1e-4 "
@@ -231,22 +225,7 @@ main(int argc, char **argv)
                 "fabrics never see; no watchdog may trip.\n");
 
     if (!json_path.empty()) {
-        noc::bench::Json config;
-        config.set("mesh", "4x4")
-            .set("load", kLoad)
-            .set("seeds", static_cast<std::uint64_t>(kSeeds.size()))
-            .set("warmup_cycles",
-                 static_cast<std::uint64_t>(sc.base.warmupCycles))
-            .set("measure_cycles",
-                 static_cast<std::uint64_t>(sc.base.measureCycles));
-        noc::bench::Json report;
-        report.set("bench", "bench_faults")
-            .set("schema", std::uint64_t(1))
-            .set("config", config)
-            .set("networks", networks)
-            .set("sweep", noc::bench::summaryJson(sweep.summary))
-            .set("watchdogs", total_watchdogs);
-        if (!noc::bench::writeJsonFile(json_path, report)) {
+        if (!writeTextFile(json_path, body)) {
             std::fprintf(stderr, "bench_faults: cannot write %s\n",
                          json_path.c_str());
             return 1;

@@ -41,20 +41,6 @@ constexpr unsigned kSizes[] = {8, 16, 32, 64};
 constexpr NetKind kKinds[] = {NetKind::Loft, NetKind::Gsf,
                               NetKind::Wormhole};
 
-const char *
-kindName(NetKind k)
-{
-    switch (k) {
-      case NetKind::Loft:
-        return "loft";
-      case NetKind::Gsf:
-        return "gsf";
-      case NetKind::Wormhole:
-        return "wormhole";
-    }
-    return "?";
-}
-
 RunConfig
 scaleConfig(NetKind kind, unsigned size)
 {
@@ -136,15 +122,14 @@ main(int argc, char **argv)
 
     bool zero_allocs = true;
     bool traffic_flowed = true;
-    noc::bench::Json meshes;
+    std::vector<ScalePoint> points;
     for (const unsigned size : kSizes) {
         const std::string mesh_key =
             std::to_string(size) + "x" + std::to_string(size);
-        noc::bench::Json per_kind;
         for (const NetKind kind : kKinds) {
             const ScalePoint p = runPoint(kind, size);
             std::printf("%-8s %-10s %14.3g %18.3g %12.4f %8llu\n",
-                        mesh_key.c_str(), kindName(kind),
+                        mesh_key.c_str(), netKindName(kind),
                         p.cyclesPerSec, p.nodeCyclesPerSec,
                         p.throughput,
                         static_cast<unsigned long long>(p.steadyAllocs));
@@ -152,28 +137,37 @@ main(int argc, char **argv)
                 zero_allocs = false;
             if (p.totalPackets == 0)
                 traffic_flowed = false;
-            noc::bench::Json point;
-            point.set("cycles_per_sec", p.cyclesPerSec)
-                .set("node_cycles_per_sec", p.nodeCyclesPerSec)
-                .set("throughput", p.throughput)
-                .set("steady_allocs", p.steadyAllocs);
-            per_kind.set(kindName(kind), point);
+            points.push_back(p);
         }
-        meshes.set(mesh_key, per_kind);
     }
     noc::bench::printRule();
     std::printf("steady-state allocations: %s\n",
                 zero_allocs ? "0 everywhere (PASS)" : "NONZERO (FAIL)");
 
     if (!json_path.empty()) {
-        noc::bench::Json report;
-        report.set("bench", "scale")
-            .set("schema", std::uint64_t{1})
-            .set("hw_threads",
-                 static_cast<std::uint64_t>(noc::bench::benchThreads()))
-            .set("zero_allocs", zero_allocs)
-            .set("meshes", meshes);
-        if (!noc::bench::writeJsonFile(json_path, report)) {
+        // Points are collected first: zero_allocs precedes them.
+        std::string body;
+        JsonWriter w = noc::bench::benchJsonWriter(body);
+        w.beginObject().field("bench", "scale").field("schema", 1);
+        w.field("hw_threads", noc::bench::benchThreads());
+        w.field("zero_allocs", zero_allocs).key("meshes").beginObject();
+        const ScalePoint *p = points.data();
+        for (const unsigned size : kSizes) {
+            w.key(std::to_string(size) + "x" + std::to_string(size));
+            w.beginObject();
+            for (const NetKind kind : kKinds) {
+                w.key(netKindName(kind)).beginObject();
+                w.field("cycles_per_sec", p->cyclesPerSec);
+                w.field("node_cycles_per_sec", p->nodeCyclesPerSec);
+                w.field("throughput", p->throughput);
+                w.field("steady_allocs", p->steadyAllocs).endObject();
+                ++p;
+            }
+            w.endObject();
+        }
+        w.endObject().endObject();
+        body += '\n';
+        if (!writeTextFile(json_path, body)) {
             std::fprintf(stderr, "failed to write %s\n",
                          json_path.c_str());
             return 1;

@@ -100,20 +100,6 @@ intraRunConfig(NetKind kind, unsigned workers)
 
 constexpr double kIntraLoad = 0.08;
 
-const char *
-kindName(NetKind kind)
-{
-    switch (kind) {
-      case NetKind::Loft:
-        return "loft";
-      case NetKind::Gsf:
-        return "gsf";
-      case NetKind::Wormhole:
-        return "wormhole";
-    }
-    return "?";
-}
-
 /** One serial-vs-partitioned comparison of a single 16x16 run. */
 struct IntraKindResult
 {
@@ -279,7 +265,7 @@ main(int argc, char **argv)
         intra_identical = intra_identical && r.identical;
         std::printf("intra %-8s serial=%6.3fs partitioned=%6.3fs "
                     "speedup=%.2fx identical: %s\n",
-                    kindName(kind), r.serialWallSeconds,
+                    netKindName(kind), r.serialWallSeconds,
                     r.parallelWallSeconds,
                     r.parallelWallSeconds > 0.0
                         ? r.serialWallSeconds / r.parallelWallSeconds
@@ -299,55 +285,44 @@ main(int argc, char **argv)
                 intra_identical ? "yes" : "NO (BUG)");
 
     if (!json_path.empty()) {
-        noc::bench::Json config;
-        config.set("cases", static_cast<std::uint64_t>(cases))
-            .set("mesh", "4x4")
-            .set("warmup_cycles", static_cast<std::uint64_t>(
-                                      serial_cfg.base.warmupCycles))
-            .set("measure_cycles", static_cast<std::uint64_t>(
-                                       serial_cfg.base.measureCycles))
-            .set("intra_mesh", "16x16")
-            .set("intra_warmup_cycles",
-                 static_cast<std::uint64_t>(intra_cfg.warmupCycles))
-            .set("intra_measure_cycles",
-                 static_cast<std::uint64_t>(intra_cfg.measureCycles))
-            .set("intra_load", kIntraLoad);
-        noc::bench::Json intra;
-        intra.set("workers", intra_workers)
-            .set("serial_wall_sec", intra_serial_wall)
-            .set("parallel_wall_sec", intra_parallel_wall)
-            .set("serial_cycles_per_sec",
-                 intra_serial_wall > 0.0
-                     ? intra_cycles / intra_serial_wall
-                     : 0.0)
-            .set("parallel_cycles_per_sec",
-                 intra_parallel_wall > 0.0
-                     ? intra_cycles / intra_parallel_wall
-                     : 0.0)
-            .set("speedup", intra_speedup)
-            .set("identical", intra_identical);
-        noc::bench::Json trace;
-        trace.set("wall_sec", traced.summary.wallSeconds)
-            .set("overhead_pct", trace_overhead_pct)
-            .set("sample_rate", traced_cfg.base.trace.sampleRate)
-            .set("packets_traced", trace_sum.packetsTraced)
-            .set("blame_attributed", trace_sum.blameAttributed)
-            .set("decomposition_mismatches",
-                 trace_sum.decompositionMismatches)
-            .set("identical", trace_identical);
-        noc::bench::Json report;
-        report.set("bench", "bench_sweep")
-            .set("schema", std::uint64_t(3))
-            .set("hw_threads", hw_threads)
-            .set("config", config)
-            .set("serial", noc::bench::summaryJson(serial.summary))
-            .set("parallel",
-                 noc::bench::summaryJson(parallel.summary))
-            .set("speedup", speedup)
-            .set("identical", identical)
-            .set("intra", intra)
-            .set("trace", trace);
-        if (!noc::bench::writeJsonFile(json_path, report)) {
+        std::string body;
+        JsonWriter w = noc::bench::benchJsonWriter(body);
+        w.beginObject().field("bench", "bench_sweep").field("schema", 3);
+        w.field("hw_threads", hw_threads).key("config").beginObject();
+        w.field("cases", cases).field("mesh", "4x4");
+        w.field("warmup_cycles", serial_cfg.base.warmupCycles);
+        w.field("measure_cycles", serial_cfg.base.measureCycles);
+        w.field("intra_mesh", "16x16");
+        w.field("intra_warmup_cycles", intra_cfg.warmupCycles);
+        w.field("intra_measure_cycles", intra_cfg.measureCycles);
+        w.field("intra_load", kIntraLoad).endObject().key("serial");
+        noc::bench::writeSummary(w, serial.summary);
+        w.key("parallel");
+        noc::bench::writeSummary(w, parallel.summary);
+        w.field("speedup", speedup).field("identical", identical);
+        w.key("intra").beginObject().field("workers", intra_workers);
+        w.field("serial_wall_sec", intra_serial_wall);
+        w.field("parallel_wall_sec", intra_parallel_wall);
+        w.field("serial_cycles_per_sec",
+                intra_serial_wall > 0.0 ? intra_cycles / intra_serial_wall
+                                        : 0.0);
+        w.field("parallel_cycles_per_sec",
+                intra_parallel_wall > 0.0
+                    ? intra_cycles / intra_parallel_wall
+                    : 0.0);
+        w.field("speedup", intra_speedup);
+        w.field("identical", intra_identical).endObject();
+        w.key("trace").beginObject();
+        w.field("wall_sec", traced.summary.wallSeconds);
+        w.field("overhead_pct", trace_overhead_pct);
+        w.field("sample_rate", traced_cfg.base.trace.sampleRate);
+        w.field("packets_traced", trace_sum.packetsTraced);
+        w.field("blame_attributed", trace_sum.blameAttributed);
+        w.field("decomposition_mismatches",
+                trace_sum.decompositionMismatches);
+        w.field("identical", trace_identical).endObject().endObject();
+        body += '\n';
+        if (!writeTextFile(json_path, body)) {
             std::fprintf(stderr, "bench_sweep: cannot write %s\n",
                          json_path.c_str());
             return 1;

@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hh"
@@ -41,16 +42,6 @@ struct DosPoint
 
 std::map<std::string, std::vector<DosPoint>> g_results;
 std::string g_traceFailure;
-
-void
-writeFile(const std::string &path, const std::string &content)
-{
-    if (std::FILE *f = std::fopen(path.c_str(), "w")) {
-        std::fwrite(content.data(), 1, content.size(), f);
-        std::fclose(f);
-        std::printf("trace: wrote %s\n", path.c_str());
-    }
-}
 
 /**
  * With LOFT_TRACE_DIR set: re-run the highest-aggression point twice —
@@ -118,11 +109,14 @@ runTraceSmoke(const std::string &name, const RunConfig &config,
 
     const std::string base = std::string(tdir) + "/fig12_" + name;
     const Cycle end = config.warmupCycles + config.measureCycles;
-    writeFile(base + "_trace.json",
-              traced_r.trace->dumpJson("blame", end));
-    writeFile(base + "_spans.json",
-              chromeTraceJson(traced_r.trace->spanWriter(),
-                              config.meshWidth, config.meshHeight));
+    const std::pair<std::string, std::string> files[] = {
+        {base + "_trace.json", traced_r.trace->dumpJson("blame", end)},
+        {base + "_spans.json",
+         chromeTraceJson(traced_r.trace->spanWriter(), config.meshWidth,
+                         config.meshHeight)}};
+    for (const auto &[path, content] : files)
+        if (writeTextFile(path, content))
+            std::printf("trace: wrote %s\n", path.c_str());
 }
 
 void
@@ -165,19 +159,14 @@ runDos(const std::string &name, const RunConfig &config)
         }
         series.push_back(pt);
         if (r.telemetry) {
-            auto dump = [&](const std::string &path,
-                            const std::string &content) {
-                if (std::FILE *f = std::fopen(path.c_str(), "w")) {
-                    std::fwrite(content.data(), 1, content.size(), f);
-                    std::fclose(f);
-                    std::printf("telemetry: wrote %s\n", path.c_str());
-                }
-            };
             const std::string base =
                 std::string(tdir) + "/fig12_" + name;
-            dump(base + "_heatmap.csv", r.telemetry->heatmapCsv());
-            dump(base + "_timeseries.csv",
-                 r.telemetry->timeSeriesCsv());
+            const std::pair<std::string, std::string> files[] = {
+                {base + "_heatmap.csv", r.telemetry->heatmapCsv()},
+                {base + "_timeseries.csv", r.telemetry->timeSeriesCsv()}};
+            for (const auto &[path, content] : files)
+                if (writeTextFile(path, content))
+                    std::printf("telemetry: wrote %s\n", path.c_str());
         }
     }
     g_results[name] = std::move(series);

@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "harness/experiment.hh"
 #include "sim/report.hh"
@@ -76,19 +77,6 @@ timeInterleaved(int reps, const RunConfig &a, const RunConfig &b,
         best_a = std::min(best_a, timedRun(a, pattern, rates, scratch));
         best_b = std::min(best_b, timedRun(b, pattern, rates, scratch));
     }
-}
-
-bool
-writeFile(const std::string &path, const std::string &content)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
-    std::fwrite(content.data(), 1, content.size(), f);
-    std::fclose(f);
-    return true;
 }
 
 } // namespace
@@ -148,10 +136,16 @@ main(int argc, char **argv)
     const std::string series_path =
         outdir + "/telemetry_timeseries.csv";
     const std::string heat_path = outdir + "/telemetry_heatmap.csv";
-    if (!writeFile(trace_path, t.chromeTraceJson()) ||
-        !writeFile(series_path, t.timeSeriesCsv()) ||
-        !writeFile(heat_path, t.heatmapCsv()))
-        return 1;
+    const std::pair<std::string, std::string> files[] = {
+        {trace_path, t.chromeTraceJson()},
+        {series_path, t.timeSeriesCsv()},
+        {heat_path, t.heatmapCsv()}};
+    for (const auto &[path, content] : files) {
+        if (!writeTextFile(path, content)) {
+            std::fprintf(stderr, "cannot write %s\n", path.c_str());
+            return 1;
+        }
+    }
 
     ReportDocument doc("LOFT telemetry demo - Fig. 12 DoS scenario");
 

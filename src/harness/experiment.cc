@@ -160,15 +160,12 @@ runExperiment(const RunConfig &config, const TrafficPattern &pattern,
         TraceConfig tc = cfg.trace;
         if (tc.seed == 0)
             tc.seed = cfg.seed;
-        const char *kind_name = cfg.kind == NetKind::Loft ? "loft"
-                                : cfg.kind == NetKind::Gsf ? "gsf"
-                                                           : "wormhole";
         // Only LOFT books absolute slots; 0 routes all hop residency
         // to switch_stall on the other fabrics.
         const std::uint32_t cycles_per_slot =
             cfg.kind == NetKind::Loft ? cfg.loft.quantumFlits : 0;
         trace = std::make_shared<TraceCollector>(mesh, std::move(tc),
-                                                 kind_name,
+                                                 netKindName(cfg.kind),
                                                  cycles_per_slot);
     }
 

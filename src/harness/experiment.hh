@@ -33,6 +33,15 @@ enum class NetKind
     Wormhole,
 };
 
+/** "loft" | "gsf" | "wormhole": the trace dump's kind, BENCH keys. */
+constexpr const char *
+netKindName(NetKind kind)
+{
+    return kind == NetKind::Loft  ? "loft"
+           : kind == NetKind::Gsf ? "gsf"
+                                  : "wormhole";
+}
+
 struct RunConfig
 {
     NetKind kind = NetKind::Loft;

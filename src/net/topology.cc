@@ -33,6 +33,12 @@ portName(Port p)
     return "?";
 }
 
+const char *
+laneName(std::size_t lane)
+{
+    return lane < kNumPorts ? portName(static_cast<Port>(lane)) : "NI";
+}
+
 Mesh2D::Mesh2D(std::uint32_t width, std::uint32_t height)
     : width_(width), height_(height)
 {

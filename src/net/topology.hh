@@ -37,6 +37,10 @@ Port oppositePort(Port p);
 /** Human-readable port name. */
 const char *portName(Port p);
 
+/** Display name of a telemetry/trace lane: the router ports, then
+ *  "NI" (the network interface, lane kNumPorts). */
+const char *laneName(std::size_t lane);
+
 /**
  * An X-by-Y mesh of nodes numbered id = x + y * width, as in the paper
  * (8x8, node id = x + 8y).

@@ -8,6 +8,29 @@
 namespace noc
 {
 
+namespace
+{
+
+/** Write @p doc (a table or document) to @p out in @p format. */
+template <typename Doc>
+void
+writeRendering(const Doc &doc, std::FILE *out, const std::string &format,
+               const char *what)
+{
+    std::string text;
+    if (format == "text")
+        text = doc.toText();
+    else if (format == "csv")
+        text = doc.toCsv();
+    else if (format == "json")
+        text = doc.toJson() + "\n";
+    else
+        fatal("%s: unknown format '%s'", what, format.c_str());
+    std::fputs(text.c_str(), out);
+}
+
+} // namespace
+
 ReportTable::ReportTable(std::string title,
                          std::vector<std::string> columns)
     : title_(std::move(title)), columns_(std::move(columns))
@@ -107,68 +130,35 @@ ReportTable::toCsv() const
     return out.str();
 }
 
-std::string
-jsonEscape(const std::string &s)
+void
+ReportTable::toJson(JsonWriter &w) const
 {
-    std::string out;
-    for (char ch : s) {
-        switch (ch) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20)
-                out += csprintf("\\u%04x", ch);
-            else
-                out += ch;
-        }
+    w.beginObject().field("title", title_).key("columns").beginArray();
+    for (const std::string &c : columns_)
+        w.value(c);
+    w.endArray().key("rows").beginArray();
+    for (const auto &row : rows_) {
+        w.beginArray();
+        for (const ReportCell &cell : row)
+            std::visit([&w](const auto &v) { w.value(v); }, cell);
+        w.endArray();
     }
-    return out;
+    w.endArray().endObject();
 }
 
 std::string
 ReportTable::toJson() const
 {
-    std::ostringstream out;
-    out << "{\"title\":\"" << jsonEscape(title_) << "\",\"columns\":[";
-    for (std::size_t c = 0; c < columns_.size(); ++c) {
-        out << (c ? "," : "") << "\"" << jsonEscape(columns_[c])
-            << "\"";
-    }
-    out << "],\"rows\":[";
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-        out << (r ? "," : "") << "[";
-        for (std::size_t c = 0; c < rows_[r].size(); ++c) {
-            out << (c ? "," : "");
-            const ReportCell &cell = rows_[r][c];
-            if (const auto *s = std::get_if<std::string>(&cell))
-                out << "\"" << jsonEscape(*s) << "\"";
-            else if (const auto *i = std::get_if<std::int64_t>(&cell))
-                out << *i;
-            else
-                out << csprintf("%.10g", std::get<double>(cell));
-        }
-        out << "]";
-    }
-    out << "]}";
-    return out.str();
+    std::string out;
+    JsonWriter w(out, JsonWriter::Layout::Compact, kJsonDigits);
+    toJson(w);
+    return out;
 }
 
 void
 ReportTable::write(std::FILE *out, const std::string &format) const
 {
-    std::string text;
-    if (format == "text")
-        text = toText();
-    else if (format == "csv")
-        text = toCsv();
-    else if (format == "json")
-        text = toJson() + "\n";
-    else
-        fatal("ReportTable: unknown format '%s'", format.c_str());
-    std::fputs(text.c_str(), out);
+    writeRendering(*this, out, format, "ReportTable");
 }
 
 std::string
@@ -198,30 +188,20 @@ ReportDocument::toCsv() const
 std::string
 ReportDocument::toJson() const
 {
-    std::string out =
-        "{\"title\":\"" + jsonEscape(title_) + "\",\"tables\":[";
-    for (std::size_t i = 0; i < tables_.size(); ++i) {
-        if (i)
-            out += ",";
-        out += tables_[i].toJson();
-    }
-    out += "]}";
+    std::string out;
+    JsonWriter w(out, JsonWriter::Layout::Compact,
+                 ReportTable::kJsonDigits);
+    w.beginObject().field("title", title_).key("tables").beginArray();
+    for (const ReportTable &t : tables_)
+        t.toJson(w);
+    w.endArray().endObject();
     return out;
 }
 
 void
 ReportDocument::write(std::FILE *out, const std::string &format) const
 {
-    std::string text;
-    if (format == "text")
-        text = toText();
-    else if (format == "csv")
-        text = toCsv();
-    else if (format == "json")
-        text = toJson() + "\n";
-    else
-        fatal("ReportDocument: unknown format '%s'", format.c_str());
-    std::fputs(text.c_str(), out);
+    writeRendering(*this, out, format, "ReportDocument");
 }
 
 } // namespace noc

@@ -3,6 +3,7 @@
  * Structured result reporting: a small table abstraction that can
  * render itself as an aligned text table, CSV, or JSON, so bench and
  * example output can be consumed by scripts as well as read by humans.
+ * JSON renderings stream through the shared JsonWriter (sim/json.hh).
  */
 
 #ifndef NOC_SIM_REPORT_HH
@@ -12,6 +13,8 @@
 #include <string>
 #include <variant>
 #include <vector>
+
+#include "sim/json.hh"
 
 namespace noc
 {
@@ -42,8 +45,13 @@ class ReportTable
     /** Render as CSV (header + rows, RFC-4180-style quoting). */
     std::string toCsv() const;
 
-    /** Render as a JSON object {title, columns, rows}. */
+    /** Render as a JSON object {title, columns, rows}; doubles
+     *  carry kJsonDigits significant digits. */
     std::string toJson() const;
+    /** Stream the same object into @p w (a ReportDocument's writer). */
+    void toJson(JsonWriter &w) const;
+
+    static constexpr int kJsonDigits = 10;
 
     /** Write a rendering chosen by @p format ("text"|"csv"|"json"). */
     void write(std::FILE *out, const std::string &format) const;
@@ -90,9 +98,6 @@ class ReportDocument
     std::string title_;
     std::vector<ReportTable> tables_;
 };
-
-/** Escape a string for JSON output. */
-std::string jsonEscape(const std::string &s);
 
 /** Escape a CSV field (quote when needed). */
 std::string csvEscape(const std::string &s);

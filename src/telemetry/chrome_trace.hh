@@ -5,13 +5,12 @@
  * Both the telemetry collector (packet lifecycle spans) and the trace
  * subsystem (stage/blame spans, src/trace) emit trace-event objects
  * that must land in ONE file loadable by Perfetto / about:tracing.
- * Before this helper each emitter concatenated its own buffer into its
- * own top-level JSON document; this class owns the buffering (with the
- * bounded-capacity drop accounting) and `chromeTraceJson()` merges any
- * number of writers into a single document.
- *
- * Each buffered event is one complete JSON object (no trailing comma);
- * the writer never parses them, it only joins and wraps.
+ * This class owns the buffering (with the bounded-capacity drop
+ * accounting) and `chromeTraceJson()` merges any number of writers
+ * into a single document. The events live in one contiguous string,
+ * ",\n"-separated; callers write each one in place through a
+ * JsonWriter (sim/json.hh), and an event over the cap is counted and
+ * never formatted.
  */
 
 #ifndef NOC_TELEMETRY_CHROME_TRACE_HH
@@ -19,7 +18,10 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "sim/json.hh"
 
 namespace noc
 {
@@ -34,32 +36,46 @@ class ChromeTraceWriter
     {
     }
 
-    /** Pre-size the buffer (metadata emitters call this once). */
-    void reserve(std::size_t n) { events_.reserve(n); }
-
-    /** Append one complete JSON event object, subject to the cap. */
-    void add(std::string json)
+    /** Append one event, subject to the cap: @p fill writes the
+     *  members of the event object through the JsonWriter it gets. */
+    template <typename Fill>
+    void
+    add(Fill &&fill)
     {
-        if (maxEvents_ && events_.size() >= maxEvents_) {
+        if (maxEvents_ && size_ >= maxEvents_)
             ++dropped_;
-            return;
-        }
-        events_.push_back(std::move(json));
+        else
+            append(fill);
     }
 
-    /** Append a metadata event ("M" phase), exempt from the cap so a
+    /** Metadata ("M" phase) naming process @p pid @p process and its
+     *  tracks 0..num_nodes-1 "node <tid>". Exempt from the cap, so a
      *  tiny cap cannot strip the track names the viewer needs. */
-    void metadata(std::string json)
-    {
-        events_.push_back(std::move(json));
-    }
+    void nameTracks(std::uint32_t pid, std::string_view process,
+                    std::size_t num_nodes);
 
-    std::size_t size() const { return events_.size(); }
+    /** Events buffered (metadata included). */
+    std::size_t size() const { return size_; }
     std::uint64_t dropped() const { return dropped_; }
-    const std::vector<std::string> &events() const { return events_; }
+    /** The buffered events, ",\n"-separated. */
+    const std::string &events() const { return events_; }
 
   private:
-    std::vector<std::string> events_;
+    template <typename Fill>
+    void
+    append(Fill &&fill)
+    {
+        if (!events_.empty())
+            events_ += ",\n";
+        JsonWriter w(events_);
+        w.beginObject();
+        fill(w);
+        w.endObject();
+        ++size_;
+    }
+
+    std::string events_;
+    std::size_t size_ = 0;
     std::uint64_t dropped_ = 0;
     std::size_t maxEvents_;
 };

@@ -11,20 +11,6 @@
 namespace noc
 {
 
-namespace
-{
-
-/** Lane display names: the router ports, then the NI. */
-const char *
-laneName(std::size_t lane)
-{
-    if (lane < kNumPorts)
-        return portName(static_cast<Port>(lane));
-    return "NI";
-}
-
-} // namespace
-
 TelemetryCollector::TelemetryCollector(const Mesh2D &mesh,
                                        TelemetryConfig config,
                                        std::vector<std::uint32_t> class_of,
@@ -57,17 +43,8 @@ TelemetryCollector::TelemetryCollector(const Mesh2D &mesh,
     schedLanes_.reserve(numNodes_ * kNumLanes);
     live_.reserve(1024);
     // Trace metadata: one process, one track (tid) per node.
-    if (cfg_.tracePackets || cfg_.traceFlits) {
-        trace_.reserve(std::min<std::size_t>(cfg_.maxTraceEvents,
-                                             1 << 14));
-        trace_.metadata("{\"name\":\"process_name\",\"ph\":\"M\","
-                        "\"pid\":1,\"args\":{\"name\":\"loft-noc\"}}");
-        for (std::size_t n = 0; n < numNodes_; ++n)
-            trace_.metadata(csprintf(
-                "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
-                "\"tid\":%zu,\"args\":{\"name\":\"node %zu\"}}",
-                n, n));
-    }
+    if (cfg_.tracePackets || cfg_.traceFlits)
+        trace_.nameTracks(1, "loft-noc", numNodes_);
 }
 
 std::uint32_t
@@ -173,12 +150,6 @@ TelemetryCollector::schedLane(const OutputScheduler &sched)
     return idx;
 }
 
-void
-TelemetryCollector::traceEvent(std::string json)
-{
-    trace_.add(std::move(json));
-}
-
 // ---------------------------------------------------------------------
 // Event intake
 // ---------------------------------------------------------------------
@@ -190,13 +161,16 @@ TelemetryCollector::onPacketAccepted(NodeId node, const Packet &pkt,
     live_[pkt.id] =
         LivePacket{pkt.flow, pkt.src, pkt.dst, pkt.createdAt};
     if (cfg_.tracePackets) {
-        traceEvent(csprintf(
-            "{\"cat\":\"packet\",\"name\":\"flow%u\",\"ph\":\"b\","
-            "\"id\":%" PRIu64 ",\"pid\":1,\"tid\":%u,\"ts\":%" PRIu64
-            ",\"args\":{\"flow\":%u,\"src\":%u,\"dst\":%u,"
-            "\"size_flits\":%u}}",
-            pkt.flow, pkt.id, node, now, pkt.flow, pkt.src, pkt.dst,
-            pkt.sizeFlits));
+        trace_.add([&](JsonWriter &w) {
+            char name[16];
+            std::snprintf(name, sizeof name, "flow%u", pkt.flow);
+            w.field("cat", "packet").field("name", name).field("ph", "b");
+            w.field("id", pkt.id).field("pid", 1).field("tid", node);
+            w.field("ts", now).key("args").beginObject();
+            w.field("flow", pkt.flow).field("src", pkt.src);
+            w.field("dst", pkt.dst).field("size_flits", pkt.sizeFlits);
+            w.endObject();
+        });
     }
 }
 
@@ -235,13 +209,15 @@ TelemetryCollector::onFlitForwarded(NodeId node, Port out,
     if (buffered_[node] > 0)
         --buffered_[node];
     if (cfg_.traceFlits) {
-        traceEvent(csprintf(
-            "{\"cat\":\"flit\",\"name\":\"fwd %s\",\"ph\":\"i\","
-            "\"s\":\"t\",\"pid\":1,\"tid\":%u,\"ts\":%" PRIu64
-            ",\"args\":{\"flow\":%u,\"flit\":%" PRIu64
-            ",\"spec\":%d}}",
-            portName(out), node, now, flit.flow, flit.flitNo,
-            spec ? 1 : 0));
+        trace_.add([&](JsonWriter &w) {
+            char name[16];
+            std::snprintf(name, sizeof name, "fwd %s", portName(out));
+            w.field("cat", "flit").field("name", name).field("ph", "i");
+            w.field("s", "t").field("pid", 1).field("tid", node);
+            w.field("ts", now).key("args").beginObject();
+            w.field("flow", flit.flow).field("flit", flit.flitNo);
+            w.field("spec", spec ? 1 : 0).endObject();
+        });
     }
 }
 
@@ -276,22 +252,25 @@ TelemetryCollector::onPacketDelivered(NodeId node, FlowId flow,
                 static_cast<double>(now - it->second.accepted);
             allLatency_.sample(latency);
             classHist_[classOfFlow(flow)].sample(latency);
-            auto [fh, inserted] = flowHist_.try_emplace(
-                flow, LogHistogram(kLatencyHistLo, kLatencyHistHi,
-                                   kLatencyHistBuckets));
-            (void)inserted;
-            fh->second.sample(latency);
+            // Constructed in place, on a flow's first delivery only.
+            flowHist_
+                .try_emplace(flow, kLatencyHistLo, kLatencyHistHi,
+                             kLatencyHistBuckets)
+                .first->second.sample(latency);
         }
     }
     if (known) {
         if (cfg_.tracePackets) {
-            traceEvent(csprintf(
-                "{\"cat\":\"packet\",\"name\":\"flow%u\",\"ph\":\"e\","
-                "\"id\":%" PRIu64 ",\"pid\":1,\"tid\":%u,\"ts\":%"
-                PRIu64 ",\"args\":{\"delivered_at\":%u,\"latency\":%"
-                PRIu64 "}}",
-                flow, pkt, it->second.src, now, node,
-                now - it->second.accepted));
+            const LivePacket &lp = it->second;
+            trace_.add([&](JsonWriter &w) {
+                char name[16];
+                std::snprintf(name, sizeof name, "flow%u", flow);
+                w.field("cat", "packet").field("name", name);
+                w.field("ph", "e").field("id", pkt).field("pid", 1);
+                w.field("tid", lp.src).field("ts", now);
+                w.key("args").beginObject().field("delivered_at", node);
+                w.field("latency", now - lp.accepted).endObject();
+            });
         }
         live_.erase(it);
     }

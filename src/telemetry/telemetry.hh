@@ -275,8 +275,6 @@ class TelemetryCollector final : public NetObserver, public Clocked
 
     std::uint32_t classOfFlow(FlowId flow) const;
     void closeEpoch(Cycle end);
-    void traceEvent(std::string json);
-
     std::uint32_t width_;
     std::uint32_t height_;
     std::size_t numNodes_;
@@ -326,7 +324,7 @@ class TelemetryCollector final : public NetObserver, public Clocked
     /// Packet lifecycle tracking (latency source + trace spans).
     std::unordered_map<PacketId, LivePacket> live_;
 
-    ChromeTraceWriter trace_; ///< complete JSON event objects
+    ChromeTraceWriter trace_; ///< packet and flit span events
 };
 
 } // namespace noc

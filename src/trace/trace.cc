@@ -1,11 +1,11 @@
 #include "trace/trace.hh"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
+#include <iterator>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
-#include "sim/report.hh"
 #include "sim/rng.hh"
 
 namespace noc
@@ -34,33 +34,14 @@ enum FlightKind : std::uint8_t
 const char *
 flightKindName(std::uint8_t kind)
 {
-    switch (kind) {
-      case kFlAccepted:
-        return "accepted";
-      case kFlSourced:
-        return "sourced";
-      case kFlArrived:
-        return "arrived";
-      case kFlForwarded:
-        return "forwarded";
-      case kFlEjected:
-        return "ejected";
-      case kFlDelivered:
-        return "delivered";
-      case kFlLookaheadAdmitted:
-        return "la_admitted";
-      case kFlQuantumScheduled:
-        return "quantum_sched";
-      case kFlNiQuantumScheduled:
-        return "ni_quantum_sched";
-      case kFlMissedSlot:
-        return "missed_slot";
-      case kFlDropped:
-        return "dropped";
-      case kFlThrottled:
-        return "throttled";
-    }
-    return "unknown";
+    static constexpr const char *kNames[] = {
+        "accepted",    "sourced",       "arrived",
+        "forwarded",   "ejected",       "delivered",
+        "la_admitted", "quantum_sched", "ni_quantum_sched",
+        "missed_slot", "dropped",       "throttled",
+    };
+    static_assert(std::size(kNames) == kFlThrottled + 1);
+    return kind < std::size(kNames) ? kNames[kind] : "unknown";
 }
 
 constexpr std::size_t
@@ -69,27 +50,28 @@ stageIdx(TraceStage s)
     return static_cast<std::size_t>(s);
 }
 
-/** Lane display names: the router ports, then the NI. */
-const char *
-traceLaneName(std::size_t lane)
+/** The `{"src_queue":...}` stage object of summary/flow/exemplar rows. */
+void
+writeStages(JsonWriter &w,
+            const std::array<std::uint64_t, kNumTraceStages> &stages)
 {
-    if (lane < kNumPorts)
-        return portName(static_cast<Port>(lane));
-    return "NI";
+    w.beginObject();
+    for (std::size_t s = 0; s < kNumTraceStages; ++s)
+        w.field(traceStageName(static_cast<TraceStage>(s)), stages[s]);
+    w.endObject();
 }
 
-/** `"stages":{...}` fragment shared by summary/flow/exemplar rows. */
-std::string
-stagesJson(const std::array<std::uint64_t, kNumTraceStages> &stages)
+/** A `[{"flow":..,"cycles":..}]` blame list. */
+void
+writeBlame(JsonWriter &w,
+           const std::vector<std::pair<FlowId, std::uint64_t>> &blame)
 {
-    std::string out = "{";
-    for (std::size_t s = 0; s < kNumTraceStages; ++s) {
-        out += csprintf("%s\"%s\":%" PRIu64, s ? "," : "",
-                        traceStageName(static_cast<TraceStage>(s)),
-                        stages[s]);
+    w.beginArray();
+    for (const auto &[flow, cycles] : blame) {
+        w.beginObject().field("flow", flow);
+        w.field("cycles", cycles).endObject();
     }
-    out += "}";
-    return out;
+    w.endArray();
 }
 
 /** Interference matrix rows, descending by cycles (deterministic). */
@@ -120,25 +102,13 @@ rankInterference(
 const char *
 traceStageName(TraceStage stage)
 {
-    switch (stage) {
-      case TraceStage::SrcQueue:
-        return "src_queue";
-      case TraceStage::SrcReservation:
-        return "src_reservation";
-      case TraceStage::Link:
-        return "link";
-      case TraceStage::LookaheadWait:
-        return "lookahead_wait";
-      case TraceStage::ReservationWait:
-        return "reservation_wait";
-      case TraceStage::SwitchStall:
-        return "switch_stall";
-      case TraceStage::SpecSavings:
-        return "spec_savings";
-      case TraceStage::SinkReassembly:
-        return "sink_reassembly";
-    }
-    return "unknown";
+    static constexpr const char *kNames[kNumTraceStages] = {
+        "src_queue",      "src_reservation",  "link",
+        "lookahead_wait", "reservation_wait", "switch_stall",
+        "spec_savings",   "sink_reassembly",
+    };
+    const auto i = static_cast<std::size_t>(stage);
+    return i < kNumTraceStages ? kNames[i] : "unknown";
 }
 
 TraceSummary
@@ -180,13 +150,7 @@ TraceCollector::TraceCollector(const Mesh2D &mesh, TraceConfig config,
     blameRings_.resize(numNodes_ * kNumLanes);
     if (cfg_.flightRecorder)
         flight_.resize(numNodes_);
-    spans_.metadata("{\"name\":\"process_name\",\"ph\":\"M\","
-                    "\"pid\":2,\"args\":{\"name\":\"loft-trace\"}}");
-    for (std::size_t n = 0; n < numNodes_; ++n)
-        spans_.metadata(csprintf(
-            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,"
-            "\"tid\":%zu,\"args\":{\"name\":\"node %zu\"}}",
-            n, n));
+    spans_.nameTracks(2, "loft-trace", numNodes_);
 }
 
 bool
@@ -654,53 +618,67 @@ TraceCollector::finalizePacket(PacketId id, LivePacket &lp, NodeId node,
 }
 
 void
+TraceCollector::hopStageFields(JsonWriter &w, const HopStages &s)
+{
+    w.field("lookahead_wait", s.lookaheadWait);
+    w.field("reservation_wait", s.reservationWait);
+    w.field("switch_stall", s.switchStall);
+    w.field("spec_savings", s.specSavings).field("link", s.link);
+}
+
+void
 TraceCollector::emitSpans(const Exemplar &ex)
 {
-    spans_.add(csprintf(
-        "{\"cat\":\"trace\",\"name\":\"flow%u\",\"ph\":\"b\","
-        "\"id\":%" PRIu64 ",\"pid\":2,\"tid\":%u,\"ts\":%" PRIu64
-        ",\"args\":{\"flow\":%u,\"src\":%u,\"dst\":%u}}",
-        ex.flow, ex.id, ex.src, ex.accepted, ex.flow, ex.src, ex.dst));
-    if (ex.stages[stageIdx(TraceStage::SrcQueue)] +
-        ex.stages[stageIdx(TraceStage::SrcReservation)]) {
-        spans_.add(csprintf(
-            "{\"cat\":\"stage\",\"name\":\"source\",\"ph\":\"X\","
-            "\"pid\":2,\"tid\":%u,\"ts\":%" PRIu64 ",\"dur\":%" PRIu64
-            ",\"args\":{\"src_queue\":%" PRIu64
-            ",\"src_reservation\":%" PRIu64 "}}",
-            ex.src, ex.accepted,
-            ex.stages[stageIdx(TraceStage::SrcQueue)] +
-                ex.stages[stageIdx(TraceStage::SrcReservation)],
-            ex.stages[stageIdx(TraceStage::SrcQueue)],
-            ex.stages[stageIdx(TraceStage::SrcReservation)]));
+    char name[40];
+    auto flow_span = [&](JsonWriter &w, const char *ph, NodeId tid,
+                         Cycle ts) {
+        std::snprintf(name, sizeof name, "flow%u", ex.flow);
+        w.field("cat", "trace").field("name", name).field("ph", ph);
+        w.field("id", ex.id).field("pid", 2).field("tid", tid);
+        w.field("ts", ts).key("args").beginObject();
+    };
+    auto stage_span = [&](JsonWriter &w, const char *label, NodeId tid,
+                          Cycle ts, std::uint64_t dur) {
+        w.field("cat", "stage").field("name", label).field("ph", "X");
+        w.field("pid", 2).field("tid", tid).field("ts", ts);
+        w.field("dur", dur).key("args").beginObject();
+    };
+    spans_.add([&](JsonWriter &w) {
+        flow_span(w, "b", ex.src, ex.accepted);
+        w.field("flow", ex.flow).field("src", ex.src).field("dst", ex.dst);
+        w.endObject();
+    });
+    const std::uint64_t queue = ex.stages[stageIdx(TraceStage::SrcQueue)];
+    const std::uint64_t reservation =
+        ex.stages[stageIdx(TraceStage::SrcReservation)];
+    if (queue + reservation) {
+        spans_.add([&](JsonWriter &w) {
+            stage_span(w, "source", ex.src, ex.accepted, queue + reservation);
+            w.field("src_queue", queue);
+            w.field("src_reservation", reservation).endObject();
+        });
     }
     for (const HopRecord &h : ex.hops) {
-        spans_.add(csprintf(
-            "{\"cat\":\"stage\",\"name\":\"hop n%u %s\",\"ph\":\"X\","
-            "\"pid\":2,\"tid\":%u,\"ts\":%" PRIu64 ",\"dur\":%" PRIu64
-            ",\"args\":{\"lookahead_wait\":%" PRIu64
-            ",\"reservation_wait\":%" PRIu64 ",\"switch_stall\":%" PRIu64
-            ",\"spec_savings\":%" PRIu64 ",\"link\":%" PRIu64 "}}",
-            h.node, portName(h.out), h.node, h.arrive,
-            h.forward - h.arrive, h.stages.lookaheadWait,
-            h.stages.reservationWait, h.stages.switchStall,
-            h.stages.specSavings, h.stages.link));
+        spans_.add([&](JsonWriter &w) {
+            std::snprintf(name, sizeof name, "hop n%u %s", h.node,
+                          portName(h.out));
+            stage_span(w, name, h.node, h.arrive, h.forward - h.arrive);
+            hopStageFields(w, h.stages);
+            w.endObject();
+        });
     }
-    if (ex.stages[stageIdx(TraceStage::SinkReassembly)]) {
-        spans_.add(csprintf(
-            "{\"cat\":\"stage\",\"name\":\"sink\",\"ph\":\"X\","
-            "\"pid\":2,\"tid\":%u,\"ts\":%" PRIu64 ",\"dur\":%" PRIu64
-            ",\"args\":{}}",
-            ex.dst,
-            ex.delivered -
-                ex.stages[stageIdx(TraceStage::SinkReassembly)],
-            ex.stages[stageIdx(TraceStage::SinkReassembly)]));
+    const std::uint64_t sink =
+        ex.stages[stageIdx(TraceStage::SinkReassembly)];
+    if (sink) {
+        spans_.add([&](JsonWriter &w) {
+            stage_span(w, "sink", ex.dst, ex.delivered - sink, sink);
+            w.endObject();
+        });
     }
-    spans_.add(csprintf(
-        "{\"cat\":\"trace\",\"name\":\"flow%u\",\"ph\":\"e\","
-        "\"id\":%" PRIu64 ",\"pid\":2,\"tid\":%u,\"ts\":%" PRIu64
-        ",\"args\":{\"latency\":%" PRIu64 "}}",
-        ex.flow, ex.id, ex.src, ex.delivered, ex.latency));
+    spans_.add([&](JsonWriter &w) {
+        flow_span(w, "e", ex.src, ex.delivered);
+        w.field("latency", ex.latency).endObject();
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -727,144 +705,106 @@ TraceCollector::summary() const
 std::string
 TraceCollector::dumpJson(const std::string &reason, Cycle now) const
 {
+    // One top-level section, flow, exemplar and flight node per line.
     std::string out;
     out.reserve(1 << 16);
-    out += csprintf("{\"schema\":\"loft-trace-dump/1\","
-                    "\"kind\":\"%s\",\"mesh\":\"%ux%u\","
-                    "\"cycles_per_slot\":%u,"
-                    "\"reason\":\"%s\",\"cycle\":%" PRIu64 ",\n",
-                    jsonEscape(kindName_).c_str(), width_, height_,
-                    cyclesPerSlot_, jsonEscape(reason).c_str(), now);
-    out += csprintf("\"packets\":{\"traced\":%" PRIu64
-                    ",\"sampled\":%" PRIu64 ",\"mismatches\":%" PRIu64
-                    ",\"total_latency_cycles\":%" PRIu64 "},\n",
-                    packetsTraced_, packetsSampled_,
-                    decompositionMismatches_, totalLatency_);
-    out += "\"stages\":" + stagesJson(stageCycles_) + ",\n";
+    JsonWriter w(out);
+    w.beginObject().field("schema", "loft-trace-dump/1");
+    w.field("kind", kindName_);
+    w.field("mesh", std::to_string(width_) + "x" + std::to_string(height_));
+    w.field("cycles_per_slot", cyclesPerSlot_).field("reason", reason);
+    w.field("cycle", now);
 
-    out += csprintf("\"blame\":{\"attributed\":%" PRIu64
-                    ",\"unattributed\":%" PRIu64 ",\"pairs\":[",
-                    blameAttributed_, blameUnattributed_);
-    const std::vector<TraceInterference> pairs =
-        rankInterference(interference_, cfg_.maxInterferencePairs);
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-        out += csprintf("%s{\"victim\":%u,\"aggressor\":%u,"
-                        "\"cycles\":%" PRIu64 "}",
-                        i ? "," : "", pairs[i].victim,
-                        pairs[i].aggressor, pairs[i].cycles);
+    w.lineBreak().key("packets").beginObject();
+    w.field("traced", packetsTraced_).field("sampled", packetsSampled_);
+    w.field("mismatches", decompositionMismatches_);
+    w.field("total_latency_cycles", totalLatency_).endObject();
+    writeStages(w.lineBreak().key("stages"), stageCycles_);
+
+    w.lineBreak().key("blame").beginObject();
+    w.field("attributed", blameAttributed_);
+    w.field("unattributed", blameUnattributed_).key("pairs").beginArray();
+    for (const TraceInterference &p :
+         rankInterference(interference_, cfg_.maxInterferencePairs)) {
+        w.beginObject().field("victim", p.victim);
+        w.field("aggressor", p.aggressor);
+        w.field("cycles", p.cycles).endObject();
     }
-    out += "]},\n";
+    w.endArray().endObject();
 
-    out += "\"flows\":[";
-    bool first = true;
+    w.lineBreak().key("flows").beginArray();
     for (const auto &[flow, agg] : flows_) {
-        out += csprintf("%s\n{\"flow\":%u,\"packets\":%" PRIu64
-                        ",\"latency_cycles\":%" PRIu64
-                        ",\"max_latency\":%" PRIu64 ",\"stages\":",
-                        first ? "" : ",", flow, agg.packets,
-                        agg.totalLatency, agg.maxLatency);
-        first = false;
-        out += stagesJson(agg.stages);
-        out += ",\"throttled\":{";
+        w.lineBreak().beginObject().field("flow", flow);
+        w.field("packets", agg.packets);
+        w.field("latency_cycles", agg.totalLatency);
+        writeStages(w.field("max_latency", agg.maxLatency).key("stages"),
+                    agg.stages);
+        w.key("throttled").beginObject();
         for (std::size_t r = 0; r < kNumStallReasons; ++r) {
-            out += csprintf(
-                "%s\"%s\":%" PRIu64, r ? "," : "",
-                stallReasonName(static_cast<StallReason>(r)),
-                agg.throttled[r]);
+            w.field(stallReasonName(static_cast<StallReason>(r)),
+                    agg.throttled[r]);
         }
-        out += "}}";
+        w.endObject().endObject();
     }
-    out += "],\n";
+    w.endArray();
 
-    out += "\"exemplars\":[";
-    first = true;
+    w.lineBreak().key("exemplars").beginArray();
     for (const auto &[id, ex] : exemplars_) {
-        bool tail = false;
-        for (const auto &[lat, tid] : tailRank_) {
-            (void)lat;
-            if (tid == id) {
-                tail = true;
-                break;
-            }
-        }
-        out += csprintf(
-            "%s\n{\"packet\":%" PRIu64 ",\"flow\":%u,\"src\":%u,"
-            "\"dst\":%u,\"accepted\":%" PRIu64 ",\"delivered\":%" PRIu64
-            ",\"latency\":%" PRIu64 ",\"sampled\":%s,\"tail\":%s,"
-            "\"stages\":",
-            first ? "" : ",", id, ex.flow, ex.src, ex.dst, ex.accepted,
-            ex.delivered, ex.latency, ex.sampled ? "true" : "false",
-            tail ? "true" : "false");
-        first = false;
-        out += stagesJson(ex.stages);
-        out += ",\"src_blame\":[";
-        for (std::size_t i = 0; i < ex.srcBlame.size(); ++i) {
-            out += csprintf("%s{\"flow\":%u,\"cycles\":%" PRIu64 "}",
-                            i ? "," : "", ex.srcBlame[i].first,
-                            ex.srcBlame[i].second);
-        }
-        out += "],\"hops\":[";
-        for (std::size_t i = 0; i < ex.hops.size(); ++i) {
-            const HopRecord &h = ex.hops[i];
-            out += csprintf(
-                "%s{\"node\":%u,\"out\":\"%s\",\"arrive\":%" PRIu64
-                ",\"forward\":%" PRIu64,
-                i ? "," : "", h.node, portName(h.out), h.arrive,
-                h.forward);
+        const bool tail =
+            std::any_of(tailRank_.begin(), tailRank_.end(),
+                        [id = id](const auto &t) { return t.second == id; });
+        w.lineBreak().beginObject().field("packet", id);
+        w.field("flow", ex.flow).field("src", ex.src).field("dst", ex.dst);
+        w.field("accepted", ex.accepted).field("delivered", ex.delivered);
+        w.field("latency", ex.latency).field("sampled", ex.sampled);
+        writeStages(w.field("tail", tail).key("stages"), ex.stages);
+        writeBlame(w.key("src_blame"), ex.srcBlame);
+        w.key("hops").beginArray();
+        for (const HopRecord &h : ex.hops) {
+            w.beginObject().field("node", h.node);
+            w.field("out", portName(h.out)).field("arrive", h.arrive);
+            w.field("forward", h.forward);
             if (h.decision != kNeverCycle)
-                out += csprintf(",\"decision\":%" PRIu64, h.decision);
+                w.field("decision", h.decision);
             if (h.hasBooking)
-                out += csprintf(",\"booked_slot\":%" PRIu64, h.booked);
-            out += csprintf(
-                ",\"lookahead_wait\":%" PRIu64
-                ",\"reservation_wait\":%" PRIu64
-                ",\"switch_stall\":%" PRIu64 ",\"spec_savings\":%" PRIu64
-                ",\"link\":%" PRIu64 ",\"blame\":[",
-                h.stages.lookaheadWait, h.stages.reservationWait,
-                h.stages.switchStall, h.stages.specSavings,
-                h.stages.link);
-            for (std::size_t b = 0; b < h.blame.size(); ++b) {
-                out += csprintf("%s{\"flow\":%u,\"cycles\":%" PRIu64 "}",
-                                b ? "," : "", h.blame[b].first,
-                                h.blame[b].second);
-            }
-            out += "]}";
+                w.field("booked_slot", h.booked);
+            hopStageFields(w, h.stages);
+            writeBlame(w.key("blame"), h.blame);
+            w.endObject();
         }
-        out += "]}";
+        w.endArray().endObject();
     }
-    out += "],\n";
+    w.endArray();
 
-    out += "\"flight\":[";
+    w.lineBreak().key("flight").beginArray();
     for (std::size_t n = 0; n < flight_.size(); ++n) {
         const FlightRing &ring = flight_[n];
-        out += csprintf("%s\n{\"node\":%zu,\"events\":[", n ? "," : "",
-                        n);
+        w.lineBreak().beginObject().field("node", n).key("events");
+        w.beginArray();
         // Logical ring order, oldest first.
         const std::size_t sz = ring.buf.size();
         const std::size_t start =
             sz < cfg_.flightRingEvents ? 0 : ring.head;
         for (std::size_t i = 0; i < sz; ++i) {
             const FlightEvent &e = ring.buf[(start + i) % sz];
-            out += csprintf("%s{\"cycle\":%" PRIu64
-                            ",\"event\":\"%s\",\"lane\":\"%s\"",
-                            i ? "," : "", e.cycle,
-                            flightKindName(e.kind),
-                            traceLaneName(e.lane));
+            w.beginObject().field("cycle", e.cycle);
+            w.field("event", flightKindName(e.kind));
+            w.field("lane", laneName(e.lane));
             if (e.flow != kInvalidFlow)
-                out += csprintf(",\"flow\":%u", e.flow);
+                w.field("flow", e.flow);
             if (e.spec)
-                out += ",\"spec\":true";
+                w.field("spec", true);
             if (e.kind == kFlThrottled)
-                out += csprintf(",\"reason\":\"%s\"",
-                                stallReasonName(
-                                    static_cast<StallReason>(e.a)));
+                w.field("reason",
+                        stallReasonName(static_cast<StallReason>(e.a)));
             else
-                out += csprintf(",\"arg\":%" PRIu64, e.a);
-            out += "}";
+                w.field("arg", e.a);
+            w.endObject();
         }
-        out += "]}";
+        w.endArray().endObject();
     }
-    out += "]}\n";
+    w.endArray().endObject();
+    out += '\n';
     return out;
 }
 
@@ -882,14 +822,10 @@ TraceCollector::dumpToFile(const std::string &reason, Cycle now)
     if (!dumpedReasons_.insert(slug).second)
         return ""; // first trip per reason only
     const std::string path = cfg_.dumpDir + "/trace_" + slug + ".json";
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
+    if (!writeTextFile(path, dumpJson(reason, now))) {
         warn("trace: cannot write %s", path.c_str());
         return "";
     }
-    const std::string json = dumpJson(reason, now);
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
     return path;
 }
 

@@ -396,6 +396,8 @@ class TraceCollector final : public NetObserver
     void finalizePacket(PacketId id, LivePacket &lp, NodeId node,
                         Cycle now);
     void emitSpans(const Exemplar &ex);
+    /** The five per-hop stage members of a span or dump hop object. */
+    static void hopStageFields(JsonWriter &w, const HopStages &s);
 
     std::uint32_t width_;
     std::uint32_t height_;

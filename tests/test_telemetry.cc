@@ -354,5 +354,36 @@ TEST(Telemetry, FlowTailLatencyIsReportedByDefault)
     EXPECT_GE(r.p99PacketLatency, r.p50PacketLatency);
 }
 
+TEST(ChromeTraceWriter, EventsOverTheCapAreCountedNotFormatted)
+{
+    // Cap 6: the 4 metadata events (exempt, but counted) leave room
+    // for 2 of the 3 events; the third is never formatted.
+    ChromeTraceWriter w(6);
+    w.nameTracks(1, "p", 3);
+    int formatted = 0;
+    for (int i = 0; i < 3; ++i) {
+        w.add([&](JsonWriter &j) {
+            ++formatted;
+            j.field("i", i);
+        });
+    }
+    EXPECT_EQ(formatted, 2);
+    EXPECT_EQ(w.size(), 6u);
+    EXPECT_EQ(w.dropped(), 1u);
+    std::string threads;
+    for (int t = 0; t < 3; ++t) {
+        threads += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
+                   "\"tid\":" + std::to_string(t) +
+                   ",\"args\":{\"name\":\"node " + std::to_string(t) +
+                   "\"}},\n";
+    }
+    EXPECT_EQ(chromeTraceJson(w, 3, 1),
+              "{\"traceEvents\":[{\"name\":\"process_name\",\"ph\":\"M\","
+              "\"pid\":1,\"args\":{\"name\":\"p\"}},\n" +
+                  threads +
+                  "{\"i\":0},\n{\"i\":1}],\"displayTimeUnit\":\"ms\","
+                  "\"otherData\":{\"dropped_events\":1,\"mesh\":\"3x1\"}}\n");
+}
+
 } // namespace
 } // namespace noc

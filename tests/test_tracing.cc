@@ -9,6 +9,7 @@
 
 #include <string>
 
+#include "blame_report.hh"
 #include "harness/experiment.hh"
 #include "harness/sweep.hh"
 #include "qos/allocation.hh"
@@ -38,6 +39,16 @@ tracedConfig(NetKind kind, std::uint64_t seed = 42)
     c.trace.enabled = true;
     c.trace.sampleRate = 1.0; // every packet becomes an exemplar
     return c;
+}
+
+/** Parse @p text as JSON, failing the test when it is malformed. */
+blame::Json
+parsed(const std::string &text)
+{
+    blame::Json doc;
+    std::string error;
+    EXPECT_TRUE(blame::parseJson(text, doc, error)) << error;
+    return doc;
 }
 
 TrafficPattern
@@ -97,6 +108,15 @@ TEST_P(TraceKinds, DumpJsonIsWellFormedAndDeterministic)
               std::string::npos);
     EXPECT_NE(da.find("\"exemplars\":["), std::string::npos);
     EXPECT_NE(da.find("\"flight\":["), std::string::npos);
+    const blame::Json doc = parsed(da);
+    EXPECT_EQ(doc.text("schema"), "loft-trace-dump/1");
+    EXPECT_EQ(doc.text("reason"), "test");
+    const blame::Json *packets = doc.find("packets");
+    ASSERT_NE(packets, nullptr);
+    EXPECT_EQ(packets->u64("traced"), a.traceSummary.packetsTraced);
+    const blame::Json *exemplars = doc.find("exemplars");
+    ASSERT_NE(exemplars, nullptr);
+    EXPECT_FALSE(exemplars->items.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, TraceKinds,
@@ -244,6 +264,11 @@ TEST(Tracing, SpanExportMergesWithTelemetry)
     EXPECT_NE(merged.find("\"pid\":1"), std::string::npos);
     EXPECT_NE(merged.find("\"pid\":2"), std::string::npos);
     EXPECT_NE(merged.find("\"cat\":\"stage\""), std::string::npos);
+    const blame::Json doc = parsed(merged);
+    const blame::Json *events = doc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    EXPECT_EQ(events->items.size(), r.telemetry->traceWriter().size() +
+                                        r.trace->spanWriter().size());
 }
 
 } // namespace
