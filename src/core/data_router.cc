@@ -568,7 +568,7 @@ LoftDataRouter::recoverLostLookaheads(Cycle now)
             // admitLookahead claims the staged flits and erases the
             // unclaimed entry on success; `it`/`u` are dead after the
             // call, so take what the observer needs by value first.
-            const Cycle firstArrival = u.firstArrival;
+            [[maybe_unused]] const Cycle firstArrival = u.firstArrival;
             if (admitLookahead(static_cast<Port>(p), la, now, now)) {
                 ++laReissues_;
                 NOC_OBSERVE(observer_,
