@@ -13,40 +13,14 @@ LoftDataRouter::LoftDataRouter(NodeId id, const Mesh2D &mesh,
     : id_(id), mesh_(mesh), params_(params)
 {
     params_.validate();
-    // Bound on quanta simultaneously staged without a reservation: the
-    // staged flits occupy physical buffer space, so the unclaimed map
-    // can never outgrow the buffers' worth of quanta.
-    const std::size_t unclaimed_cap =
-        params_.bufferQuanta() +
-        params_.specBufferFlits / params_.quantumFlits + 1;
     for (std::size_t p = 0; p < kNumPorts; ++p) {
         outputs_[p].sched = std::make_unique<OutputScheduler>(
             params_, csprintf("router%u.%s.sched", id,
-                              portName(static_cast<Port>(p))),
-            &pool_);
+                              portName(static_cast<Port>(p))));
         outputs_[p].dnNonspecFree = params_.centralBufferFlits;
         outputs_[p].dnSpecFree = params_.specBufferFlits;
-
-        InputPort &ip = inputs_[p];
-        // Rebind every node-churning container onto the router's pool
-        // (allocators propagate on move assignment), then pre-size the
-        // hash tables to their run-bounded key populations so they
-        // never rehash mid-run.
-        ip.records = decltype(ip.records)(
-            0, PoolAlloc<std::pair<const std::uint64_t, QuantumRecord>>(
-                   &pool_));
-        ip.records.reserve(params_.windowSlots());
-        ip.unclaimed = decltype(ip.unclaimed)(
-            0,
-            PoolAlloc<std::pair<const std::uint64_t, UnclaimedQuantum>>(
-                &pool_));
-        ip.unclaimed.reserve(unclaimed_cap);
-        for (auto &idx : ip.schedIdx)
-            idx = PoolMap<Slot, std::uint64_t>(
-                PoolAlloc<std::pair<const Slot, std::uint64_t>>(&pool_));
-        pending_[p] = PendingMap(
-            PoolAlloc<std::pair<const std::pair<FlowId, std::uint64_t>,
-                                PendingRef>>(&pool_));
+        inputs_[p].table = InputReservationTable(params_.quantumFlits);
+        pending_[p].reserve(8);
     }
     // One head entry per distinct flow with pending quanta at an
     // output; every such flow holds a scheduler table entry, so
@@ -84,6 +58,7 @@ LoftDataRouter::connectOutput(Port p, Channel<DataWireFlit> *data_out,
     out.virtualCreditIn = virtual_credit_in;
 }
 
+// loft-tidy: steady-state-hot
 bool
 LoftDataRouter::admitLookahead(Port in, const LookaheadFlit &la,
                                Cycle now, Cycle schedulable_at)
@@ -93,10 +68,10 @@ LoftDataRouter::admitLookahead(Port in, const LookaheadFlit &la,
     // The input reservation table bounds the quanta a port may hold
     // (Table 1: one entry per time-window slot); a full table
     // back-pressures the look-ahead network.
-    if (ip.records.size() >= params_.windowSlots())
+    if (ip.table.size() >= params_.windowSlots())
         return false;
     const std::uint64_t key = recordKey(la.flow, la.quantumNo);
-    if (ip.records.count(key)) {
+    if (ip.table.contains(key)) {
         if (params_.recovery.enabled) {
             // The original look-ahead survived after all (e.g. stalled
             // long enough for the timeout to re-synthesize it). The
@@ -108,31 +83,29 @@ LoftDataRouter::admitLookahead(Port in, const LookaheadFlit &la,
               id_, la.flow,
               static_cast<unsigned long long>(la.quantumNo));
     }
-    QuantumRecord rec(&pool_);
-    rec.flow = la.flow;
-    rec.quantumNo = la.quantumNo;
-    rec.expectedFlits = la.quantumFlits;
-    rec.dst = la.dst;
+    QuantumRecord rec;
     rec.la = la;
+    rec.expectedFlits = la.quantumFlits;
     rec.schedulableAt = schedulable_at;
-    rec.inPort = in;
     rec.outPort = xyRoute(mesh_, id_, la.dst);
     // The quantum departs the previous router at la.departureSlot; its
     // last flit is here linkLatency cycles after the slot ends.
     rec.arrivalSlot = la.departureSlot +
         (params_.quantumFlits - 1 + params_.linkLatency) /
             params_.quantumFlits;
-    pending_[portIndex(rec.outPort)].emplace(
-        std::make_pair(la.flow, la.quantumNo),
-        PendingRef{key,
-                   static_cast<std::uint32_t>(portIndex(in))});
-    // Claim any data flits that arrived ahead of this admission.
-    auto un = ip.unclaimed.find(key);
-    if (un != ip.unclaimed.end()) {
-        rec.buffered = std::move(un->second.flits);
-        ip.unclaimed.erase(un);
-    }
-    ip.records.emplace(key, std::move(rec));
+    // Claims any data flits that arrived ahead of this admission.
+    const RecordId id = ip.table.admit(key, rec);
+    auto &pend = pending_[portIndex(rec.outPort)];
+    const auto order = [](const PendingQuantum &e) {
+        return std::pair(e.flow, e.quantumNo);
+    };
+    const auto at = std::ranges::lower_bound(
+        pend, std::pair(la.flow, la.quantumNo), {}, order);
+    if (at == pend.end() || order(*at) != std::pair(la.flow, la.quantumNo))
+        // loft-tidy: pooled(reserved in the ctor; plateaus in warm-up)
+        pend.emplace(at, PendingQuantum{la.flow, la.quantumNo, id,
+                                        static_cast<std::uint32_t>(
+                                            portIndex(in))});
     NOC_OBSERVE(observer_, LookaheadAdmitted{id_, in, la, now});
     return true;
 }
@@ -150,42 +123,41 @@ LoftDataRouter::schedulePending(Port outp, Cycle now,
         params_.quantumFlits;
 
     // Serve flows round-robin; within a flow, the oldest quantum
-    // first. Gather each distinct flow's head entry (pend is ordered
-    // by (flow, quantum)), then rotate past the last served flow.
+    // first. Gather each distinct flow's head entry (pend is sorted by
+    // (flow, quantum)), then rotate past the last served flow.
     FlowId &ptr = flowPointer_[portIndex(outp)];
     auto &heads = headsScratch_;
     heads.clear();
-    for (auto h = pend.begin(); h != pend.end();
-         h = pend.upper_bound(std::make_pair(
-             h->first.first,
-             std::numeric_limits<std::uint64_t>::max()))) {
-        heads.push_back(h);
+    for (auto h = pend.begin(); h != pend.end();) {
+        // loft-tidy: pooled(headsScratch_ reserved to maxFlows in the ctor)
+        heads.push_back(static_cast<std::size_t>(h - pend.begin()));
+        const FlowId f = h->flow;
+        h = std::partition_point(
+            h, pend.end(),
+            [f](const PendingQuantum &e) { return e.flow == f; });
     }
     std::size_t start = 0;
-    while (start < heads.size() && heads[start]->first.first <= ptr)
+    while (start < heads.size() && pend[heads[start]].flow <= ptr)
         ++start;
 
     for (std::size_t k = 0; k < heads.size(); ++k) {
-        auto it = heads[(start + k) % heads.size()];
-        const FlowId flow = it->first.first;
-        const std::size_t in = it->second.inPort;
-        const std::uint64_t key = it->second.key;
-        InputPort &ip = inputs_[in];
-        QuantumRecord &rec = ip.records.at(key);
+        const std::size_t idx = heads[(start + k) % heads.size()];
+        const FlowId flow = pend[idx].flow;
+        const RecordId id = pend[idx].rec;
+        InputPort &ip = inputs_[pend[idx].inPort];
+        QuantumRecord &rec = ip.table.record(id);
 
         if (rec.schedulableAt > now)
             continue; // still in the look-ahead router pipeline
 
         Slot granted;
-        if (!sched.trySchedule(flow, now, rec.quantumNo,
+        if (!sched.trySchedule(flow, now, rec.la.quantumNo,
                                rec.arrivalSlot + stages_slots,
                                granted)) {
             continue; // throttled: stays pending
         }
 
-        rec.departSlot = granted;
-        rec.scheduled = true;
-        ip.schedIdx[portIndex(outp)].emplace(granted, key);
+        ip.table.schedule(id, granted);
         // Step 4: return a virtual credit (stamped with the onward
         // departure slot) to the upstream output scheduler.
         if (ip.virtualCreditOut)
@@ -197,7 +169,7 @@ LoftDataRouter::schedulePending(Port outp, Cycle now,
         terminal = outp == Port::Local;
         NOC_OBSERVE(observer_,
                     QuantumScheduled{id_, outp, rec.la, granted, now});
-        pend.erase(it);
+        pend.erase(pend.begin() + static_cast<std::ptrdiff_t>(idx));
         return true;
     }
     return false;
@@ -255,57 +227,23 @@ LoftDataRouter::receiveData(Cycle now)
             NOC_OBSERVE(observer_,
                         FlitArrived{id_, static_cast<Port>(p), flit,
                                     wf->spec, now});
-            const std::uint64_t key =
-                recordKey(flit.flow, flit.quantum);
-            auto it = ip.records.find(key);
-            if (it == ip.records.end()) {
-                // The leading look-ahead is still waiting for a free
-                // input-table entry; stage the flit until it lands.
-                auto [un, staged] = ip.unclaimed.try_emplace(key, &pool_);
-                if (staged) {
-                    un->second.firstArrival = now;
-                    un->second.nextReissueAt =
-                        now + params_.lookaheadTimeout();
-                }
-                un->second.flits.push_back(
-                    BufferedFlit{flit, wf->spec});
-                continue;
-            }
-            it->second.buffered.push_back(BufferedFlit{flit, wf->spec});
+            // Flits whose look-ahead still waits for a free input-table
+            // entry are staged until it lands.
+            ip.table.arrive(recordKey(flit.flow, flit.quantum),
+                            InputReservationTable::BufferedFlit{flit,
+                                                                wf->spec},
+                            now, now + params_.lookaheadTimeout());
         }
     }
 }
 
-LoftDataRouter::QuantumRecord *
-LoftDataRouter::findRecord(FlowId flow, std::uint64_t quantum,
-                           std::size_t &in_port)
-{
-    const std::uint64_t key = recordKey(flow, quantum);
-    for (std::size_t p = 0; p < kNumPorts; ++p) {
-        auto it = inputs_[p].records.find(key);
-        if (it != inputs_[p].records.end()) {
-            in_port = p;
-            return &it->second;
-        }
-    }
-    return nullptr;
-}
-
 void
-LoftDataRouter::eraseRecord(std::size_t in, QuantumRecord &rec)
-{
-    InputPort &ip = inputs_[in];
-    if (rec.scheduled)
-        ip.schedIdx[portIndex(rec.outPort)].erase(rec.departSlot);
-    ip.records.erase(recordKey(rec.flow, rec.quantumNo));
-}
-
-void
-LoftDataRouter::forwardFlit(std::size_t in, QuantumRecord &rec,
-                            std::size_t out, Cycle now, bool emergent)
+LoftDataRouter::forwardFlit(std::size_t in, RecordId id, std::size_t out,
+                            Cycle now, bool emergent)
 {
     InputPort &ip = inputs_[in];
     OutputPort &op = outputs_[out];
+    QuantumRecord &rec = ip.table.record(id);
 
     // Decide the downstream buffer: a quantum switched starting at its
     // scheduled slot is in order and enters the non-speculative buffer,
@@ -321,8 +259,7 @@ LoftDataRouter::forwardFlit(std::size_t in, QuantumRecord &rec,
     if (to_spec ? op.dnSpecFree == 0 : op.dnNonspecFree == 0)
         panic("router %u: forwardFlit without downstream space", id_);
 
-    BufferedFlit bf = rec.buffered.front();
-    rec.buffered.pop_front();
+    const InputReservationTable::BufferedFlit bf = ip.table.popFront(id);
     op.dataOut->send(now, DataWireFlit{bf.flit, to_spec});
     if (to_spec)
         --op.dnSpecFree;
@@ -360,7 +297,7 @@ LoftDataRouter::forwardFlit(std::size_t in, QuantumRecord &rec,
 
     if (rec.forwardedFlits == rec.expectedFlits) {
         op.sched->clearBooking(rec.departSlot);
-        eraseRecord(in, rec);
+        ip.table.erase(id);
     }
 }
 
@@ -377,20 +314,23 @@ LoftDataRouter::switchOutputs(Cycle now)
         // arrived or already missed) that has data. Guaranteed to win
         // arbitration.
         {
-            QuantumRecord *due = nullptr;
+            const QuantumRecord *due = nullptr;
+            RecordId due_id = 0;
             std::size_t due_in = 0;
             bool due_dataless = false;
             for (std::size_t in = 0; in < kNumPorts; ++in) {
-                for (const auto &[slot, key] : inputs_[in].schedIdx[out]) {
-                    if (slot > now_slot)
+                const InputReservationTable &t = inputs_[in].table;
+                for (const auto &d : t.departures(out)) {
+                    if (d.slot > now_slot)
                         break;
-                    QuantumRecord &rec = inputs_[in].records.at(key);
-                    if (rec.buffered.empty()) {
+                    if (t.buffered(d.rec) == 0) {
                         due_dataless = true; // late data upstream
                         continue;
                     }
+                    const QuantumRecord &rec = t.record(d.rec);
                     if (!due || rec.departSlot < due->departSlot) {
                         due = &rec;
+                        due_id = d.rec;
                         due_in = in;
                     }
                     break;
@@ -404,7 +344,7 @@ LoftDataRouter::switchOutputs(Cycle now)
                     due->forwardedFlits > 0 && due->sendSpec;
                 if (needs_spec ? op.dnSpecFree > 0
                                : op.dnNonspecFree > 0) {
-                    forwardFlit(due_in, *due, out, now, true);
+                    forwardFlit(due_in, due_id, out, now, true);
                     continue;
                 }
                 // Downstream has no space: the scheduled switching
@@ -430,25 +370,23 @@ LoftDataRouter::switchOutputs(Cycle now)
         if (op.dnSpecFree == 0)
             continue; // early forwards need speculative buffer space
         std::uint64_t req = 0;
-        std::array<std::uint64_t, kNumPorts> cand_key{};
+        std::array<RecordId, kNumPorts> cand{};
         for (std::size_t in = 0; in < kNumPorts; ++in) {
-            InputPort &ip = inputs_[in];
-            for (const auto &[slot, key] : ip.schedIdx[out]) {
-                if (slot <= now_slot)
+            const InputReservationTable &t = inputs_[in].table;
+            for (const auto &d : t.departures(out)) {
+                if (d.slot <= now_slot)
                     continue; // due or overdue: emergent lane only
-                const QuantumRecord &rec = ip.records.at(key);
-                if (rec.buffered.empty())
+                if (t.buffered(d.rec) == 0)
                     continue;
                 req |= std::uint64_t(1) << in;
-                cand_key[in] = key;
+                cand[in] = d.rec;
                 break; // earliest ready record of this input port
             }
         }
         const std::size_t win = op.arb.arbitrate(req);
         if (win == RoundRobinArbiter::npos)
             continue;
-        QuantumRecord &rec = inputs_[win].records.at(cand_key[win]);
-        forwardFlit(win, rec, out, now, false);
+        forwardFlit(win, cand[win], out, now, false);
     }
 }
 
@@ -473,11 +411,11 @@ LoftDataRouter::maybeLocalReset(Cycle now)
 }
 
 void
-LoftDataRouter::dropQuantumFlits(std::size_t in, FlitFifo &flits,
-                                 Cycle now)
+LoftDataRouter::dropStagedQuantum(std::size_t in, std::size_t i, Cycle now)
 {
     InputPort &ip = inputs_[in];
-    for (BufferedFlit &bf : flits) {
+    for (const InputReservationTable::BufferedFlit &bf :
+         ip.table.flits(ip.table.stagedAt(i))) {
         if (bf.spec) {
             if (ip.specUsed == 0)
                 panic("router %u: spec buffer underflow (drop)", id_);
@@ -492,7 +430,7 @@ LoftDataRouter::dropQuantumFlits(std::size_t in, FlitFifo &flits,
         ++flitsDropped_;
         NOC_OBSERVE(observer_, FlitDropped{id_, bf.flit, now});
     }
-    flits.clear();
+    ip.table.dropStaged(i);
 }
 
 void
@@ -501,24 +439,19 @@ LoftDataRouter::recoverLostLookaheads(Cycle now)
     if (!params_.recovery.enabled)
         return;
     for (std::size_t p = 0; p < kNumPorts; ++p) {
-        InputPort &ip = inputs_[p];
-        if (ip.unclaimed.empty())
-            continue;
-        recoveryScratch_.clear();
-        // Key-collection only; the sort below erases the hash order
-        // before anything observable happens.
-        for (const auto &[key, u] : ip.unclaimed)
-            if (now >= u.nextReissueAt && !u.flits.empty())
-                recoveryScratch_.push_back(key);
-        // Re-issue in quantum-id order: re-issues compete for output
-        // slots and fire observer events, so hash order would leak
-        // into the fingerprint.
-        std::sort(recoveryScratch_.begin(), recoveryScratch_.end());
-        for (std::uint64_t key : recoveryScratch_) {
-            auto it = ip.unclaimed.find(key);
-            if (it == ip.unclaimed.end())
+        InputReservationTable &t = inputs_[p].table;
+        // Re-issue in key order: re-issues compete for output slots and
+        // fire observer events. Handling one staged quantum never
+        // changes another's eligibility; one that is dropped or
+        // admitted leaves the index, so `i` then already names the
+        // next one.
+        for (std::size_t i = 0; i < t.stagedCount();) {
+            const RecordId id = t.stagedAt(i);
+            InputReservationTable::Staging &u = t.staging(id);
+            if (now < u.nextReissueAt || t.buffered(id) == 0) {
+                ++i;
                 continue;
-            UnclaimedQuantum &u = it->second;
+            }
             if (!u.detected) {
                 // Timeout fired: the reservation for this data never
                 // materialized — the look-ahead flit must be lost.
@@ -532,19 +465,19 @@ LoftDataRouter::recoverLostLookaheads(Cycle now)
             // or a full quantum's worth of flits closes it. Waiting for
             // the rest of the quantum (e.g. behind a stalled link) does
             // not consume re-issue budget.
-            const BufferedFlit &first = u.flits.front();
-            const BufferedFlit &last = u.flits.back();
+            const auto flits = t.flits(id);
+            const Flit &first = flits.front().flit;
+            const Flit &last = flits.back().flit;
             const bool complete =
-                last.flit.quantumLast ||
-                u.flits.size() >= params_.quantumFlits;
+                last.quantumLast || flits.size() >= params_.quantumFlits;
             if (!complete) {
                 u.nextReissueAt =
                     now + params_.recovery.reissueBackoffCycles;
+                ++i;
                 continue;
             }
             if (u.reissues >= params_.recovery.maxReissues) {
-                dropQuantumFlits(p, u.flits, now);
-                ip.unclaimed.erase(it);
+                dropStagedQuantum(p, i, now);
                 continue;
             }
             ++u.reissues;
@@ -552,29 +485,29 @@ LoftDataRouter::recoverLostLookaheads(Cycle now)
                 now + (params_.recovery.reissueBackoffCycles
                        << std::min<std::uint32_t>(u.reissues, 6));
             LookaheadFlit la;
-            la.flow = first.flit.flow;
-            la.src = first.flit.src;
-            la.dst = first.flit.dst;
-            la.quantumNo = first.flit.quantum;
-            la.quantumFlits =
-                static_cast<std::uint32_t>(u.flits.size());
-            la.firstFlitNo = first.flit.flitNo;
-            la.packet = first.flit.packet;
-            la.createdAt = first.flit.createdAt;
-            la.leadsTail = last.flit.isTail();
+            la.flow = first.flow;
+            la.src = first.src;
+            la.dst = first.dst;
+            la.quantumNo = first.quantum;
+            la.quantumFlits = static_cast<std::uint32_t>(flits.size());
+            la.firstFlitNo = first.flitNo;
+            la.packet = first.packet;
+            la.createdAt = first.createdAt;
+            la.leadsTail = last.isTail();
             // The data is already here: backdate the departure slot so
             // the arrival estimate is immediately satisfied.
             la.departureSlot = params_.slotOf(u.firstArrival);
-            // admitLookahead claims the staged flits and erases the
-            // unclaimed entry on success; `it`/`u` are dead after the
-            // call, so take what the observer needs by value first.
+            // admitLookahead claims the staged entry on success, which
+            // also ends `u`; take what the observer needs by value.
             [[maybe_unused]] const Cycle firstArrival = u.firstArrival;
             if (admitLookahead(static_cast<Port>(p), la, now, now)) {
                 ++laReissues_;
                 NOC_OBSERVE(observer_,
                             FaultRecovered{FaultKind::LookaheadDrop,
                                            id_, firstArrival, now});
+                continue;
             }
+            ++i;
         }
     }
 }
@@ -584,28 +517,23 @@ LoftDataRouter::scrubStaleRecords(Cycle now)
 {
     const Cycle timeout = params_.scrubTimeout();
     for (std::size_t p = 0; p < kNumPorts; ++p) {
-        InputPort &ip = inputs_[p];
-        if (ip.records.empty())
-            continue;
-        recoveryScratch_.clear();
-        // Key-collection only; sorted before any mutation below.
-        for (const auto &[key, rec] : ip.records) {
-            if (!rec.scheduled || !rec.buffered.empty())
+        InputReservationTable &t = inputs_[p].table;
+        // Key order; erasing record i makes `i` name the next one.
+        for (std::size_t i = 0; i < t.size();) {
+            const RecordId id = t.recordAt(i);
+            const QuantumRecord &rec = t.record(id);
+            if (!rec.scheduled || t.buffered(id) != 0 ||
+                rec.forwardedFlits >= rec.expectedFlits ||
+                params_.slotStart(rec.departSlot) + timeout > now) {
+                ++i;
                 continue;
-            if (rec.forwardedFlits >= rec.expectedFlits)
-                continue; // completes this cycle anyway
-            if (params_.slotStart(rec.departSlot) + timeout <= now)
-                recoveryScratch_.push_back(key);
-        }
-        std::sort(recoveryScratch_.begin(), recoveryScratch_.end());
-        for (std::uint64_t key : recoveryScratch_) {
-            QuantumRecord &rec = ip.records.at(key);
+            }
             // The remaining data flits of this quantum never arrived
             // (dropped upstream): reclaim the output slot and the
             // input-table entry so the tables re-converge.
             outputs_[portIndex(rec.outPort)].sched->clearBooking(
                 rec.departSlot);
-            eraseRecord(p, rec);
+            t.erase(id);
             ++quantaScrubbed_;
         }
     }
@@ -634,7 +562,7 @@ LoftDataRouter::quiescent() const
     // Inputs: no live or staged quanta, no buffered flits, and nothing
     // arriving on the data or credit wires.
     for (const InputPort &ip : inputs_) {
-        if (!ip.records.empty() || !ip.unclaimed.empty())
+        if (!ip.table.empty() || ip.table.hasStaged())
             return false;
         if (ip.nonspecUsed != 0 || ip.specUsed != 0)
             return false;

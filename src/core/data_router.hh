@@ -9,9 +9,12 @@
  *
  * Each input port holds a central (non-speculative) buffer plus a
  * speculative buffer for out-of-order forwarded flits (Fig. 9), and the
- * input reservation table (quantum records). Each output port owns an
- * LSF OutputScheduler (the framed output reservation table) plus the
- * actual-credit view of the downstream buffers.
+ * input reservation table (core/input_table.hh: quantum records and
+ * their buffered flits in flat arrays kept in key and slot order). Each
+ * output port owns an LSF OutputScheduler (the framed output
+ * reservation table) plus the actual-credit view of the downstream
+ * buffers. Admitted-but-unscheduled quanta wait per output in a vector
+ * sorted by (flow, quantum number).
  */
 
 #ifndef NOC_CORE_DATA_ROUTER_HH
@@ -19,7 +22,9 @@
 
 #include <array>
 #include <memory>
+#include <vector>
 
+#include "core/input_table.hh"
 #include "core/messages.hh"
 #include "core/output_scheduler.hh"
 #include "net/channel.hh"
@@ -27,7 +32,6 @@
 #include "net/topology.hh"
 #include "router/arbiter.hh"
 #include "sim/clocked.hh"
-#include "sim/pool.hh"
 
 namespace noc
 {
@@ -125,7 +129,7 @@ class LoftDataRouter final : public Clocked
     hasUnclaimedQuanta() const
     {
         for (const auto &ip : inputs_)
-            if (!ip.unclaimed.empty())
+            if (ip.table.hasStaged())
                 return true;
         return false;
     }
@@ -156,124 +160,18 @@ class LoftDataRouter final : public Clocked
     {
         return outputs_[portIndex(p)].flitsForwarded;
     }
-    /** Bucket count of input @p p's record table (no-rehash probe:
-     *  pre-sized at construction, this must never change mid-run). */
-    std::size_t recordBucketCount(Port p) const
-    {
-        return inputs_[portIndex(p)].records.bucket_count();
-    }
     /// @}
 
   private:
-    /** A buffered data flit and which physical buffer holds it. */
-    struct BufferedFlit
-    {
-        Flit flit;
-        bool spec;
-    };
-
-    /**
-     * FIFO of one quantum's buffered flits, pool-backed. A quantum
-     * holds at most quantumFlits flits, so a consumed head index over
-     * a pooled vector beats a deque: the single backing allocation is
-     * recycled through the router's Pool when the record dies, and the
-     * per-cycle push/pop path never touches the heap.
-     */
-    struct FlitFifo
-    {
-        PoolVec<BufferedFlit> flits;
-        std::uint32_t head = 0;
-
-        explicit FlitFifo(Pool *pool = nullptr)
-            : flits(PoolAlloc<BufferedFlit>(pool))
-        {
-        }
-
-        bool empty() const { return head == flits.size(); }
-        std::size_t size() const { return flits.size() - head; }
-        BufferedFlit &front() { return flits[head]; }
-        const BufferedFlit &front() const { return flits[head]; }
-        const BufferedFlit &back() const { return flits.back(); }
-        void push_back(const BufferedFlit &bf) { flits.push_back(bf); }
-        void pop_front() { ++head; }
-
-        void
-        clear()
-        {
-            flits.clear();
-            head = 0;
-        }
-
-        auto begin() { return flits.begin() + head; }
-        auto end() { return flits.end(); }
-    };
-
-    /** Input reservation table entry: one quantum led by one LA flit. */
-    struct QuantumRecord
-    {
-        explicit QuantumRecord(Pool *pool = nullptr) : buffered(pool) {}
-
-        FlowId flow = kInvalidFlow;
-        std::uint64_t quantumNo = 0;
-        std::uint32_t expectedFlits = 0;
-        NodeId dst = kInvalidNode;
-        /** The leading look-ahead flit (forwarded once scheduled). */
-        LookaheadFlit la;
-        /** First cycle the look-ahead may request output scheduling
-         *  (after the look-ahead router pipeline). */
-        Cycle schedulableAt = 0;
-        Port inPort = Port::Local;
-        Port outPort = Port::Local;
-        Slot arrivalSlot = 0;
-        Slot departSlot = kNeverCycle;
-        bool scheduled = false;
-        std::uint32_t forwardedFlits = 0;
-        /**
-         * Downstream buffer choice, decided when the first flit is
-         * forwarded and sticky for the whole quantum (the quantum is
-         * the scheduling unit): started at its slot -> non-speculative,
-         * started early -> speculative.
-         */
-        bool sendSpec = false;
-        FlitFifo buffered;
-    };
-
-    /**
-     * Flits staged while their look-ahead is missing, plus the
-     * recovery bookkeeping for re-issuing that look-ahead if it never
-     * shows up (lost to a fault).
-     */
-    struct UnclaimedQuantum
-    {
-        explicit UnclaimedQuantum(Pool *pool = nullptr) : flits(pool) {}
-
-        FlitFifo flits;
-        Cycle firstArrival = 0;
-        std::uint32_t reissues = 0;
-        /** Timeout already reported as a detected look-ahead loss. */
-        bool detected = false;
-        /** Next recovery attempt (first: firstArrival + timeout). */
-        Cycle nextReissueAt = kNeverCycle;
-    };
+    using RecordId = InputReservationTable::RecordId;
+    using QuantumRecord = InputReservationTable::Record;
 
     struct InputPort
     {
         Channel<DataWireFlit> *dataIn = nullptr;
         Channel<ActualCreditMsg> *actualCreditOut = nullptr;
         Channel<VirtualCreditMsg> *virtualCreditOut = nullptr;
-        /** Pool-backed and pre-sized in the router constructor: node
-         *  churn recycles through the pool, and the reserve() makes
-         *  mid-run rehashing impossible (key population is bounded by
-         *  the table capacity). */
-        PoolUMap<std::uint64_t, QuantumRecord> records;
-        /**
-         * Flits that arrived while their look-ahead still waits for a
-         * free input-table entry (the data plane can outrun a
-         * back-pressured look-ahead admission by a few cycles).
-         */
-        PoolUMap<std::uint64_t, UnclaimedQuantum> unclaimed;
-        /** Scheduled records by departure slot, per output port. */
-        std::array<PoolMap<Slot, std::uint64_t>, kNumPorts> schedIdx;
+        InputReservationTable table;
         std::uint32_t nonspecUsed = 0;
         std::uint32_t specUsed = 0;
     };
@@ -302,7 +200,7 @@ class LoftDataRouter final : public Clocked
      * 2^32, which is unique among LIVE entries: a port holds at most
      * windowSlots() quanta of a flow at once, far below 2^32. Keys
      * sort identically to (flow, quantumNo) for live entries, which
-     * the sorted recovery/scrub sweeps rely on.
+     * the key-ordered recovery/scrub sweeps rely on.
      */
     static std::uint64_t recordKey(FlowId f, std::uint64_t q)
     {
@@ -316,64 +214,46 @@ class LoftDataRouter final : public Clocked
     void maybeLocalReset(Cycle now);
     /** Reclaim scheduled records whose data never arrived (recovery). */
     void scrubStaleRecords(Cycle now);
-    /** Give up on a quantum: free buffers, return upstream credits. */
-    void dropQuantumFlits(std::size_t in, FlitFifo &flits, Cycle now);
+    /** Give up on staged quantum @p i of input @p in: free its
+     *  buffers, return upstream credits, release the entry. */
+    void dropStagedQuantum(std::size_t in, std::size_t i, Cycle now);
 
-    /** Forward one flit of @p rec through output @p out. */
-    void forwardFlit(std::size_t in, QuantumRecord &rec, std::size_t out,
+    /** Forward one flit of record @p id through output @p out. */
+    void forwardFlit(std::size_t in, RecordId id, std::size_t out,
                      Cycle now, bool emergent);
 
-    /** Find the record behind a booking, if present on any input. */
-    QuantumRecord *findRecord(FlowId flow, std::uint64_t quantum,
-                              std::size_t &in_port);
-
-    void eraseRecord(std::size_t in, QuantumRecord &rec);
-
     /**
-     * Where the admitted quantum behind a pending entry lives: the
-     * input-table key plus the input port, as explicit fields. The
-     * previous encoding packed `key | (port << 60)` into one word,
-     * which corrupted both fields once the key's flow bits reached
-     * bit 60 (flow id >= 2^16 under the old key layout).
+     * An admitted-but-unscheduled quantum waiting at an output: its
+     * (flow, quantum number) order key and the input-table record
+     * behind it. Unscheduled records are never erased, so the id
+     * stays valid while the entry is pending.
      */
-    struct PendingRef
+    struct PendingQuantum
     {
-        std::uint64_t key = 0;
+        FlowId flow = kInvalidFlow;
+        std::uint64_t quantumNo = 0;
+        RecordId rec = 0;
         std::uint32_t inPort = 0;
     };
-
-    using PendingMap =
-        PoolMap<std::pair<FlowId, std::uint64_t>, PendingRef>;
 
     NodeId id_;
     const Mesh2D &mesh_;
     LoftParams params_;
 
-    /**
-     * Backing pool for every node-churning container of this router
-     * (reservation tables, staging maps, scheduler bookings, buffered
-     * flit FIFOs). Declared before them: members are destroyed in
-     * reverse order, so the pool outlives its containers.
-     */
-    Pool pool_;
-
     std::array<InputPort, kNumPorts> inputs_;
     std::array<OutputPort, kNumPorts> outputs_;
 
     /**
-     * Admitted-but-unscheduled quanta per output port, ordered by
+     * Admitted-but-unscheduled quanta per output port, sorted by
      * (flow, quantum number) for round-robin service over flows.
      */
-    std::array<PendingMap, kNumPorts> pending_;
+    std::array<std::vector<PendingQuantum>, kNumPorts> pending_;
     /** Round-robin pointer over flows, per output port. */
     std::array<FlowId, kNumPorts> flowPointer_{};
 
-    /** Scratch for schedulePending's per-flow head iterators (kept as
+    /** Scratch for schedulePending's per-flow head indices (kept as
      *  a member so the hot path does not allocate every cycle). */
-    std::vector<PendingMap::iterator> headsScratch_;
-
-    /** Scratch key list for the recovery sweeps (avoids allocation). */
-    std::vector<std::uint64_t> recoveryScratch_;
+    std::vector<std::size_t> headsScratch_;
 
     std::uint64_t emergentForwards_ = 0;
     std::uint64_t specForwards_ = 0;

@@ -12,13 +12,8 @@ LoftSink::LoftSink(NodeId node, const LoftParams &params,
                    MetricsCollector *metrics)
     : node_(node), params_(params), in_(in),
       actualCreditOut_(actual_credit_out),
-      virtualCreditOut_(virtual_credit_out), metrics_(metrics),
-      pending_(PoolAlloc<std::pair<const PacketId, std::uint32_t>>(&pool_))
+      virtualCreditOut_(virtual_credit_out), metrics_(metrics)
 {
-    // Pin the bucket array: only a handful of packets are ever
-    // partially received at once, so this never rehashes (asserted by
-    // the zero-allocation tests).
-    pending_.reserve(kPendingReserve);
 }
 
 void
@@ -57,15 +52,11 @@ LoftSink::tick(Cycle now)
         metrics_->onFlitEjected(flit.flow);
     NOC_OBSERVE(observer_, FlitEjected{node_, flit, now});
 
-    auto [it, inserted] = pending_.try_emplace(flit.packet, 0u);
-    (void)inserted;
-    ++it->second;
-    if (it->second == flit.pktSize) {
+    if (reassembly_.onFlit(flit, node_)) {
         if (metrics_)
             metrics_->onPacketEjected(flit.flow, flit.createdAt, now);
         NOC_OBSERVE(observer_,
                     PacketDelivered{node_, flit.flow, flit.packet, now});
-        pending_.erase(it);
     }
 }
 

@@ -14,8 +14,8 @@
 #include "net/channel.hh"
 #include "net/instrument.hh"
 #include "net/metrics.hh"
+#include "net/reassembly.hh"
 #include "sim/clocked.hh"
-#include "sim/pool.hh"
 
 namespace noc
 {
@@ -46,26 +46,15 @@ class LoftSink final : public Clocked
     /** Attach an event observer. */
     void setObserver(NetObserver *obs) { observer_ = obs; }
 
-    /** Bucket count of the partial-packet table (no-rehash probe). */
-    std::size_t pendingBucketCount() const
-    {
-        return pending_.bucket_count();
-    }
-
   private:
-    /** Bucket reserve for pending_ (pinned; rehash would allocate). */
-    static constexpr std::size_t kPendingReserve = 256;
-
     NodeId node_;
     LoftParams params_;
-    /** Pool behind pending_'s node churn (destroyed after it). */
-    Pool pool_;
     Channel<DataWireFlit> *in_;
     Channel<ActualCreditMsg> *actualCreditOut_;
     Channel<VirtualCreditMsg> *virtualCreditOut_;
     // loft-tidy: deferred-endpoint(MetricsCollector::mergeDomains)
     MetricsCollector *metrics_;
-    PoolUMap<PacketId, std::uint32_t> pending_;
+    ReassemblyTable reassembly_;
     std::uint64_t flitsEjected_ = 0;
     std::uint64_t corruptedDeliveries_ = 0;
     // loft-tidy: deferred-endpoint(DeferredObserver)

@@ -9,8 +9,7 @@ namespace noc
 
 LoftSourceUnit::LoftSourceUnit(NodeId node, const LoftParams &params)
     : node_(node), params_(params),
-      sched_(params, csprintf("ni%u.sched", node), &pool_),
-      outbound_(PoolAlloc<std::pair<const Slot, OutboundQuantum>>(&pool_)),
+      sched_(params, csprintf("ni%u.sched", node)),
       dnNonspecFree_(params.centralBufferFlits),
       dnSpecFree_(params.specBufferFlits),
       laCredits_(params.laNumVCs, params.laVcDepth),
@@ -21,6 +20,7 @@ LoftSourceUnit::LoftSourceUnit(NodeId node, const LoftParams &params)
     // the map's population is fixed before traffic starts; the reserve
     // pins the bucket array so it never rehashes mid-run.
     counters_.reserve(params.maxFlows);
+    outbound_.reserve(8);
 }
 
 void
@@ -107,60 +107,67 @@ LoftSourceUnit::receiveCredits(Cycle now)
     }
 }
 
+// loft-tidy: steady-state-hot
 void
 LoftSourceUnit::buildNextQuantum(Cycle now)
 {
     (void)now;
     if (pending_ || queue_.empty())
         return;
-    Packet &pkt = queue_.front();
+    const Packet &pkt = queue_.front();
     FlowCounters &fc = counters_[pkt.flow];
 
-    PendingQuantum pq(&pool_);
+    pending_ = Quantum{};
+    Quantum &q = *pending_;
     const std::uint32_t remaining = pkt.sizeFlits - headPacketOffset_;
     const std::uint32_t n =
         std::min(remaining, params_.quantumFlits);
 
-    pq.la.flow = pkt.flow;
-    pq.la.src = pkt.src;
-    pq.la.dst = pkt.dst;
-    pq.la.quantumNo = fc.nextQuantumNo++;
-    pq.la.quantumFlits = n;
-    pq.la.firstFlitNo = fc.nextFlitNo;
-    pq.la.packet = pkt.id;
-    pq.la.createdAt = pkt.enqueuedAt;
-    pq.la.leadsTail = headPacketOffset_ + n == pkt.sizeFlits;
-
-    for (std::uint32_t i = 0; i < n; ++i) {
-        Flit flit;
-        const std::uint32_t pos = headPacketOffset_ + i;
-        const bool head = pos == 0;
-        const bool tail = pos + 1 == pkt.sizeFlits;
-        flit.type = head && tail ? FlitType::HeadTail
-                  : head ? FlitType::Head
-                  : tail ? FlitType::Tail
-                  : FlitType::Body;
-        flit.flow = pkt.flow;
-        flit.flitNo = fc.nextFlitNo++;
-        flit.packet = pkt.id;
-        flit.src = pkt.src;
-        flit.dst = pkt.dst;
-        flit.pktSize = pkt.sizeFlits;
-        flit.createdAt = pkt.enqueuedAt;
-        flit.quantum = pq.la.quantumNo;
-        flit.quantumLast = i + 1 == n;
-        flit.payload = flitPayload(flit.flow, flit.flitNo);
-        pq.flits.push_back(flit);
-    }
+    q.la.flow = pkt.flow;
+    q.la.src = pkt.src;
+    q.la.dst = pkt.dst;
+    q.la.quantumNo = fc.nextQuantumNo++;
+    q.la.quantumFlits = n;
+    q.la.firstFlitNo = fc.nextFlitNo;
+    q.la.packet = pkt.id;
+    q.la.createdAt = pkt.enqueuedAt;
+    q.la.leadsTail = headPacketOffset_ + n == pkt.sizeFlits;
+    q.pktSize = pkt.sizeFlits;
+    q.pktOffset = headPacketOffset_;
+    fc.nextFlitNo += n;
 
     headPacketOffset_ += n;
     if (headPacketOffset_ == pkt.sizeFlits) {
         queue_.pop_front();
         headPacketOffset_ = 0;
     }
-    pending_ = std::move(pq);
 }
 
+Flit
+LoftSourceUnit::dataFlit(const Quantum &q, std::uint32_t i)
+{
+    Flit flit;
+    const std::uint32_t pos = q.pktOffset + i;
+    const bool head = pos == 0;
+    const bool tail = pos + 1 == q.pktSize;
+    flit.type = head && tail ? FlitType::HeadTail
+              : head ? FlitType::Head
+              : tail ? FlitType::Tail
+              : FlitType::Body;
+    flit.flow = q.la.flow;
+    flit.flitNo = q.la.firstFlitNo + i;
+    flit.packet = q.la.packet;
+    flit.src = q.la.src;
+    flit.dst = q.la.dst;
+    flit.pktSize = q.pktSize;
+    flit.createdAt = q.la.createdAt;
+    flit.quantum = q.la.quantumNo;
+    flit.quantumLast = i + 1 == q.la.quantumFlits;
+    flit.payload = flitPayload(flit.flow, flit.flitNo);
+    return flit;
+}
+
+// loft-tidy: steady-state-hot
 void
 LoftSourceUnit::emitLookahead(Cycle now)
 {
@@ -199,12 +206,11 @@ LoftSourceUnit::emitLookahead(Cycle now)
     NOC_OBSERVE(observer_,
                 NiQuantumScheduled{node_, pending_->la, granted, now});
 
-    OutboundQuantum ob(&pool_);
-    ob.flow = pending_->la.flow;
-    ob.quantumNo = pending_->la.quantumNo;
-    ob.departSlot = granted;
-    ob.flits = std::move(pending_->flits);
-    outbound_.emplace(granted, std::move(ob));
+    const auto slot = [](const Quantum &q) { return q.la.departureSlot; };
+    const auto at = std::ranges::lower_bound(outbound_, granted, {}, slot);
+    if (at == outbound_.end() || slot(*at) != granted)
+        // loft-tidy: pooled(reserved in the ctor; plateaus in warm-up)
+        outbound_.emplace(at, *pending_);
     pending_.reset();
 }
 
@@ -216,14 +222,13 @@ LoftSourceUnit::forwardData(Cycle now)
     const Slot now_slot = params_.slotOf(now);
 
     // Emergent quantum: the earliest booking whose slot has arrived.
-    auto first = outbound_.begin();
-    OutboundQuantum *cand = nullptr;
+    Quantum *cand = nullptr;
     bool emergent = false;
-    if (first->first <= now_slot) {
-        cand = &first->second;
+    if (outbound_.front().la.departureSlot <= now_slot) {
+        cand = &outbound_.front();
         emergent = true;
     } else if (params_.speculativeSwitching) {
-        cand = &first->second; // earliest scheduled, sent early
+        cand = &outbound_.front(); // earliest scheduled, sent early
     }
     if (!cand)
         return;
@@ -240,14 +245,14 @@ LoftSourceUnit::forwardData(Cycle now)
         else
             ++stallNonspecCredit_;
         NOC_OBSERVE(observer_,
-                    SourceThrottled{node_, cand->flow,
+                    SourceThrottled{node_, cand->la.flow,
                                     to_spec
                                         ? StallReason::NoSpecCredit
                                         : StallReason::NoNonspecCredit,
                                     now});
         return;
     }
-    const Flit flit = cand->flits[cand->sent];
+    const Flit flit = dataFlit(*cand, cand->sent);
     dataOut_->send(now, DataWireFlit{flit, to_spec});
     NOC_OBSERVE(observer_, FlitSourced{node_, flit, to_spec, now});
     if (to_spec)
@@ -259,9 +264,9 @@ LoftSourceUnit::forwardData(Cycle now)
     ++flitsSent_;
     lastForward_ = now;
 
-    if (cand->sent == cand->flits.size()) {
-        sched_.clearBooking(cand->departSlot);
-        outbound_.erase(first);
+    if (cand->sent == cand->la.quantumFlits) {
+        sched_.clearBooking(cand->la.departureSlot);
+        outbound_.erase(outbound_.begin());
     }
 }
 

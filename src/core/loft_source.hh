@@ -24,7 +24,6 @@
 #include "net/packet.hh"
 #include "router/arbiter.hh"
 #include "sim/clocked.hh"
-#include "sim/pool.hh"
 #include "sim/ring_deque.hh"
 
 namespace noc
@@ -77,34 +76,24 @@ class LoftSourceUnit final : public Clocked
     std::uint64_t creditsDiscarded() const { return creditsDiscarded_; }
 
   private:
-    /** One quantum waiting to depart over the local link. */
-    struct OutboundQuantum
+    /**
+     * A quantum of the head packet: its look-ahead flit plus its place
+     * in the packet, which is all it takes to rebuild its data flits
+     * when they are sent, so a quantum stores no flits.
+     */
+    struct Quantum
     {
-        explicit OutboundQuantum(Pool *pool = nullptr)
-            : flits(PoolAlloc<Flit>(pool))
-        {
-        }
-
-        FlowId flow = kInvalidFlow;
-        std::uint64_t quantumNo = 0;
-        Slot departSlot = 0;
-        PoolVec<Flit> flits;
+        LookaheadFlit la;
+        std::uint32_t pktSize = 0;
+        /** Offset of the quantum's first flit within its packet. */
+        std::uint32_t pktOffset = 0;
         std::uint32_t sent = 0;
         /** Sticky buffer choice, decided at the first flit. */
         bool sendSpec = false;
     };
 
-    /** A quantum built from the head packet, awaiting scheduling. */
-    struct PendingQuantum
-    {
-        explicit PendingQuantum(Pool *pool = nullptr)
-            : flits(PoolAlloc<Flit>(pool))
-        {
-        }
-
-        LookaheadFlit la;
-        PoolVec<Flit> flits;
-    };
+    /** Data flit @p i of quantum @p q. */
+    static Flit dataFlit(const Quantum &q, std::uint32_t i);
 
     void receiveCredits(Cycle now);
     void buildNextQuantum(Cycle now);
@@ -114,9 +103,6 @@ class LoftSourceUnit final : public Clocked
 
     NodeId node_;
     LoftParams params_;
-    /** Backing pool for the NI's churn containers (declared before
-     *  them so it is destroyed last). */
-    Pool pool_;
     OutputScheduler sched_;
 
     Channel<DataWireFlit> *dataOut_ = nullptr;
@@ -125,16 +111,19 @@ class LoftSourceUnit final : public Clocked
     Channel<LaWireFlit> *laOut_ = nullptr;
     Channel<LaCredit> *laCreditIn_ = nullptr;
 
-    RingDeque<Packet> queue_;
+    /** Packet queue, sized so the first enqueue does not allocate. */
+    RingDeque<Packet> queue_{8};
     std::uint64_t queuedFlits_ = 0;
 
     /** Segmentation cursor within the head packet. */
     std::uint32_t headPacketOffset_ = 0;
 
-    std::optional<PendingQuantum> pending_;
+    /** A quantum built from the head packet, awaiting scheduling. */
+    std::optional<Quantum> pending_;
 
-    /** Scheduled-but-not-fully-sent quanta keyed by departure slot. */
-    PoolMap<Slot, OutboundQuantum> outbound_;
+    /** Scheduled-but-not-fully-sent quanta, sorted by departure slot
+     *  (la.departureSlot). */
+    std::vector<Quantum> outbound_;
 
     /** Downstream (router local input) buffer space, flit granular. */
     std::uint32_t dnNonspecFree_;

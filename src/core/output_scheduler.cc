@@ -9,15 +9,13 @@ namespace noc
 {
 
 OutputScheduler::OutputScheduler(const LoftParams &params,
-                                 std::string name, Pool *pool)
+                                 std::string name)
     : params_(params), name_(std::move(name)),
       credit_(params.windowSlots(),
               static_cast<std::int32_t>(params.bufferQuanta())),
       bookings_(params.windowSlots()),
       creditBeforeWindow_(static_cast<std::int32_t>(params.bufferQuanta())),
-      skipped_(params.windowFrames, 0),
-      futureReturns_(
-          PoolAlloc<std::pair<const std::uint64_t, std::uint32_t>>(pool))
+      skipped_(params.windowFrames, 0)
 {
     params_.validate();
 }
@@ -143,20 +141,20 @@ OutputScheduler::recycleHeadFrame()
     // previously newest frame (the ring slot before this span), then
     // roll in credit returns that had been recorded for beyond-window
     // slots. They are all >= the new frame's start, so the ones inside
-    // it are the map's first entries.
+    // it are the vector's first entries.
     const auto bn = static_cast<std::int32_t>(params_.bufferQuanta());
     std::int32_t running = credit_[(first == 0 ? credit_.size() : first) - 1];
     const std::uint64_t new_start = (k + params_.windowFrames) * fs;
     std::uint32_t i = 0;
-    for (auto fr = futureReturns_.begin();
-         fr != futureReturns_.end() && fr->first < new_start + fs;
-         fr = futureReturns_.erase(fr)) {
-        const auto at = static_cast<std::uint32_t>(fr->first - new_start);
+    auto fr = futureReturns_.begin();
+    for (; fr != futureReturns_.end() && fr->slot < new_start + fs; ++fr) {
+        const auto at = static_cast<std::uint32_t>(fr->slot - new_start);
         std::fill(credit + i, credit + at, running);
-        running = std::min(running + static_cast<std::int32_t>(fr->second),
+        running = std::min(running + static_cast<std::int32_t>(fr->count),
                            bn);
         i = at;
     }
+    futureReturns_.erase(futureReturns_.begin(), fr);
     std::fill(credit + i, credit + fs, running);
     skipped_[k % params_.windowFrames] = 0;
 
@@ -318,7 +316,12 @@ OutputScheduler::onCreditReturn(Slot abs_slot)
     const std::uint64_t w_start = windowStartSlot();
     const std::uint64_t w_end = windowEndSlotEx();
     if (s >= w_end) {
-        ++futureReturns_[s];
+        const auto fr = std::ranges::lower_bound(futureReturns_, s, {},
+                                                 &FutureReturn::slot);
+        if (fr != futureReturns_.end() && fr->slot == s)
+            ++fr->count;
+        else
+            futureReturns_.insert(fr, FutureReturn{s, 1});
         return;
     }
     if (s < w_start)

@@ -39,7 +39,6 @@
 
 #include "core/loft_params.hh"
 #include "net/instrument.hh"
-#include "sim/pool.hh"
 #include "sim/types.hh"
 
 namespace noc
@@ -59,14 +58,7 @@ struct SlotBooking
 class OutputScheduler
 {
   public:
-    /**
-     * @param pool optional backing pool for the beyond-window credit
-     *        return map (node churn recycles through it). The pool must
-     *        outlive the scheduler; null keeps the map on the global
-     *        heap (unit tests).
-     */
-    OutputScheduler(const LoftParams &params, std::string name,
-                    Pool *pool = nullptr);
+    OutputScheduler(const LoftParams &params, std::string name);
 
     /**
      * Register a contending flow with reservation R_ij given in flits
@@ -290,9 +282,16 @@ class OutputScheduler
     std::uint32_t liveBookings_ = 0;
     std::int32_t creditBeforeWindow_;
     std::vector<std::uint32_t> skipped_;
-    /** Credit returns for slots beyond the current window. Every key
-     *  is >= the window end: recycling consumes the new frame's keys. */
-    PoolMap<std::uint64_t, std::uint32_t> futureReturns_;
+    /** A credit-return count for one slot beyond the window. */
+    struct FutureReturn
+    {
+        std::uint64_t slot;
+        std::uint32_t count;
+    };
+    /** Credit returns for slots beyond the current window, sorted by
+     *  slot. Every slot is >= the window end: recycling consumes the
+     *  new frame's slots from the front. */
+    std::vector<FutureReturn> futureReturns_;
 
     /** Registered flows, sorted by id; flowStates_ runs parallel. */
     std::vector<FlowId> flowIds_;

@@ -9,14 +9,10 @@ namespace noc
 
 GsfBarrier::GsfBarrier(std::uint32_t window_frames, Cycle barrier_delay)
     : window_(window_frames), delay_(barrier_delay),
-      inFlight_(
-          PoolAlloc<std::pair<const std::uint64_t, std::uint64_t>>(&pool_))
+      inFlight_(window_frames, 0)
 {
     if (window_frames < 2)
         fatal("GsfBarrier: window must have at least 2 frames");
-    // At most `window_` frames are active at once; doubled for the
-    // drain tail so the bucket array never rehashes mid-run.
-    inFlight_.reserve(2 * static_cast<std::size_t>(window_) + 8);
 }
 
 void
@@ -54,21 +50,21 @@ GsfBarrier::admitNow(std::uint64_t frame, std::uint32_t flits)
         panic("GsfBarrier: admission into inactive frame %llu "
               "(head %llu)", static_cast<unsigned long long>(frame),
               static_cast<unsigned long long>(head_));
-    inFlight_[frame] += flits;
+    inFlight_[frame % window_] += flits;
     totalInFlight_ += flits;
 }
 
 void
 GsfBarrier::ejectNow(std::uint64_t frame)
 {
-    auto it = inFlight_.find(frame);
-    if (it == inFlight_.end() || it->second == 0)
+    // Frames outside the window hold no flits: older ones drained
+    // before the head moved past them, newer ones admit nothing yet.
+    if (frame < head_ || frame > newestFrame() ||
+        inFlight_[frame % window_] == 0)
         panic("GsfBarrier: ejection from empty frame %llu",
               static_cast<unsigned long long>(frame));
-    --it->second;
+    --inFlight_[frame % window_];
     --totalInFlight_;
-    if (it->second == 0)
-        inFlight_.erase(it);
 }
 
 void
@@ -120,6 +116,13 @@ GsfBarrier::tick(Cycle now)
 {
     if (advanceAt_ != kNeverCycle) {
         if (now >= advanceAt_) {
+            // The head's counter becomes the new newest frame's, so it
+            // must still be drained (sources never admit into the head
+            // frame).
+            if (inFlight_[head_ % window_] != 0)
+                panic("GsfBarrier: frame %llu refilled during its "
+                      "barrier broadcast",
+                      static_cast<unsigned long long>(head_));
             ++head_;
             ++recycles_;
             advanceAt_ = kNeverCycle;
@@ -129,8 +132,7 @@ GsfBarrier::tick(Cycle now)
         return;
     }
     // Head frame drained? Start the barrier broadcast.
-    const auto it = inFlight_.find(head_);
-    if (it == inFlight_.end() || it->second == 0)
+    if (inFlight_[head_ % window_] == 0)
         advanceAt_ = now + delay_;
 }
 

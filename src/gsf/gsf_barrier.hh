@@ -13,7 +13,6 @@
 
 #include "sim/clocked.hh"
 #include "sim/parallel.hh"
-#include "sim/pool.hh"
 #include "sim/types.hh"
 
 namespace noc
@@ -60,12 +59,6 @@ class GsfBarrier final : public Clocked, public DomainMerged
     /** Number of window advances so far (diagnostics). */
     std::uint64_t recycleCount() const { return recycles_; }
 
-    /** Bucket count of the in-flight table (no-rehash probe). */
-    std::size_t inFlightBucketCount() const
-    {
-        return inFlight_.bucket_count();
-    }
-
     void tick(Cycle now) override;
 
     // DomainMerged
@@ -99,12 +92,11 @@ class GsfBarrier final : public Clocked, public DomainMerged
     std::uint32_t window_;
     Cycle delay_;
     std::uint64_t head_ = 0;
-    /** Pool behind inFlight_'s node churn (destroyed after it). */
-    Pool pool_;
-    /** In-flight flit count per absolute frame. Admissions only land
-     *  in active frames, so the live population never exceeds the
-     *  window; the reserve pins the bucket array. */
-    PoolUMap<std::uint64_t, std::uint64_t> inFlight_;
+    /** In-flight flit count per active frame, indexed by
+     *  frame % window_. Admissions only land in active frames, and the
+     *  head only advances once its frame has drained, so the counter a
+     *  new newest frame inherits is zero. */
+    std::vector<std::uint64_t> inFlight_;
     std::uint64_t totalInFlight_ = 0;
     /** Cycle at which a pending advance completes (kNeverCycle: none). */
     Cycle advanceAt_ = kNeverCycle;

@@ -8,13 +8,8 @@ namespace noc
 SinkUnit::SinkUnit(NodeId node, Channel<WireFlit> *in,
                    Channel<Credit> *credit_return,
                    MetricsCollector *metrics)
-    : node_(node), in_(in), creditReturn_(credit_return), metrics_(metrics),
-      pending_(PoolAlloc<std::pair<const PacketId, std::uint32_t>>(&pool_))
+    : node_(node), in_(in), creditReturn_(credit_return), metrics_(metrics)
 {
-    // Pin the bucket array: out-of-order delivery under speculative
-    // switching keeps at most a handful of packets partially received,
-    // so 256 buckets never rehash in practice (asserted by tests).
-    pending_.reserve(kPendingReserve);
 }
 
 void
@@ -57,21 +52,11 @@ SinkUnit::tick(Cycle now)
     if (onEject_)
         onEject_(flit, now);
 
-    // Packet completion: count received flits; speculative switching may
-    // deliver them out of order, so do not assume the tail is last.
-    auto [it, inserted] = pending_.try_emplace(flit.packet, 0u);
-    (void)inserted;
-    ++it->second;
-    if (it->second == flit.pktSize) {
+    if (reassembly_.onFlit(flit, node_)) {
         if (metrics_)
             metrics_->onPacketEjected(flit.flow, flit.createdAt, now);
         NOC_OBSERVE(observer_,
                     PacketDelivered{node_, flit.flow, flit.packet, now});
-        pending_.erase(it);
-    } else if (it->second > flit.pktSize) {
-        panic("sink %u: packet %llu received more flits than its size %u",
-              node_, static_cast<unsigned long long>(flit.packet),
-              flit.pktSize);
     }
 }
 

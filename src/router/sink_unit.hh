@@ -14,9 +14,9 @@
 
 #include "net/channel.hh"
 #include "net/metrics.hh"
+#include "net/reassembly.hh"
 #include "router/wormhole_router.hh"
 #include "sim/clocked.hh"
-#include "sim/pool.hh"
 
 namespace noc
 {
@@ -46,26 +46,14 @@ class SinkUnit final : public Clocked
     /** Attach an event observer. */
     void setObserver(NetObserver *obs) { observer_ = obs; }
 
-    /** Bucket count of the partial-packet table (no-rehash probe). */
-    std::size_t pendingBucketCount() const
-    {
-        return pending_.bucket_count();
-    }
-
   private:
-    /** Bucket reserve for pending_ (pinned; rehash would allocate). */
-    static constexpr std::size_t kPendingReserve = 256;
-
     NodeId node_;
-    /** Pool behind pending_'s node churn (destroyed after it). */
-    Pool pool_;
     Channel<WireFlit> *in_;
     Channel<Credit> *creditReturn_;
     // loft-tidy: deferred-endpoint(MetricsCollector::mergeDomains)
     MetricsCollector *metrics_;
     std::function<void(const Flit &, Cycle)> onEject_;
-    /** Received flit count per partially received packet. */
-    PoolUMap<PacketId, std::uint32_t> pending_;
+    ReassemblyTable reassembly_;
     std::uint64_t flitsEjected_ = 0;
     std::uint64_t corruptedDeliveries_ = 0;
     // loft-tidy: deferred-endpoint(DeferredObserver)

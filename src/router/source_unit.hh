@@ -106,8 +106,9 @@ class SourceUnit : public Clocked
     std::size_t queueCapacityFlits_;
 
     /** FIFO packet queue; the ring's capacity plateaus at the high-water
-     *  occupancy, so steady state enqueues never allocate. */
-    RingDeque<Packet> queue_;
+     *  occupancy, so steady state enqueues never allocate. Sized at
+     *  construction so the first enqueue does not allocate either. */
+    RingDeque<Packet> queue_{8};
     std::uint64_t queuedFlits_ = 0;
 
     std::vector<VcState> vcs_;

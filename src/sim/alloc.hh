@@ -6,9 +6,10 @@
  * family with thin wrappers over std::malloc that bump a process-wide
  * counter on every allocation. The counter underpins the simulator's
  * zero-allocation steady-state invariant (docs/SCALE.md): after
- * warm-up every per-cycle container has either plateaued in capacity
- * or draws from a component-owned Pool, so a measurement window must
- * observe a delta of exactly zero.
+ * warm-up every per-cycle container has plateaued in capacity (flat
+ * vectors and rings that only ever grow, slabs whose freed entries are
+ * reused), so a measurement window must observe a delta of exactly
+ * zero.
  *
  * The counter is monotonic and global; consumers take deltas
  * (Simulator records one around each run() window). It is meaningful

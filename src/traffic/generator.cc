@@ -27,6 +27,9 @@ TrafficGenerator::configure(const std::vector<FlowSpec> &flows,
         FlowState fs;
         fs.spec = flows[i];
         fs.rate = rates[i];
+        // A flow's first backlogged packet must not allocate mid-run;
+        // deeper backlogs grow the ring during warm-up.
+        fs.pending.reserve(8);
         flows_.push_back(std::move(fs));
     }
 }

@@ -9,17 +9,13 @@ namespace noc
 {
 
 RefOutputScheduler::RefOutputScheduler(const LoftParams &params,
-                                 std::string name, Pool *pool)
+                                 std::string name)
     : params_(params), name_(std::move(name)),
       busy_(params.windowSlots(), 0),
       credit_(params.windowSlots(),
               static_cast<std::int32_t>(params.bufferQuanta())),
       creditBeforeWindow_(static_cast<std::int32_t>(params.bufferQuanta())),
-      skipped_(params.windowFrames, 0),
-      bookings_(PoolAlloc<std::pair<const std::uint64_t, SlotBooking>>(
-          pool)),
-      futureReturns_(
-          PoolAlloc<std::pair<const std::uint64_t, std::uint32_t>>(pool))
+      skipped_(params.windowFrames, 0)
 {
     params_.validate();
 }

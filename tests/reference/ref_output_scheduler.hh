@@ -19,7 +19,6 @@
 
 #include "core/loft_params.hh"
 #include "core/output_scheduler.hh"
-#include "sim/pool.hh"
 #include "sim/types.hh"
 
 namespace noc
@@ -28,14 +27,7 @@ namespace noc
 class RefOutputScheduler
 {
   public:
-    /**
-     * @param pool optional backing pool for the per-quantum booking /
-     *        credit-return maps (node churn recycles through it). The
-     *        pool must outlive the scheduler; null keeps the maps on
-     *        the global heap (unit tests).
-     */
-    RefOutputScheduler(const LoftParams &params, std::string name,
-                    Pool *pool = nullptr);
+    RefOutputScheduler(const LoftParams &params, std::string name);
 
     /**
      * Register a contending flow with reservation R_ij given in flits
@@ -195,9 +187,9 @@ class RefOutputScheduler
     std::int32_t creditBeforeWindow_;
     std::vector<std::uint32_t> skipped_;
     /** Booked quanta keyed by local slot (ordered for earliest lookup). */
-    PoolMap<std::uint64_t, SlotBooking> bookings_;
+    std::map<std::uint64_t, SlotBooking> bookings_;
     /** Credit returns for slots beyond the current window. */
-    PoolMap<std::uint64_t, std::uint32_t> futureReturns_;
+    std::map<std::uint64_t, std::uint32_t> futureReturns_;
 
     /// Ordered so frame-recycle / reset sweeps visit flows in flow-id
     /// order regardless of registration history (fingerprint-stable).

@@ -4,12 +4,14 @@
  * two-node network slice (NI -> router -> router -> sink): scheduled
  * (emergent) vs early (speculative) transfer lanes, sticky quantum
  * buffer choice, credit conservation, input-table back-pressure, and
- * the local-reset conditions on a live link.
+ * the local-reset conditions on a live link; plus the sink's check on
+ * packets whose flits disagree on their size.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/loft_network.hh"
+#include "core/loft_sink.hh"
 #include "sim/simulator.hh"
 
 namespace noc
@@ -225,6 +227,31 @@ TEST_F(SliceTest, SinkReassemblesInterleavedPackets)
         [&] { return net_->metrics().totalPackets() == 6; }, 2000));
     EXPECT_EQ(net_->metrics().flow(0).flitsEjected, 12u);
     EXPECT_EQ(net_->metrics().flow(1).flitsEjected, 12u);
+}
+
+TEST(LoftSinkDeathTest, InconsistentPacketSizePanics)
+{
+    // Flits of one packet that disagree on pktSize: the second flit
+    // says the packet is one flit long, but it is the packet's second.
+    LoftParams p;
+    Channel<DataWireFlit> in;
+    Channel<ActualCreditMsg> actual;
+    Channel<VirtualCreditMsg> virt;
+    LoftSink sink(1, p, &in, &actual, &virt, nullptr);
+    Flit flit;
+    flit.flow = 0;
+    flit.packet = 9;
+    flit.src = 0;
+    flit.dst = 1;
+    flit.pktSize = 4;
+    flit.payload = flitPayload(flit.flow, flit.flitNo);
+    in.send(0, DataWireFlit{flit});
+    sink.tick(1);
+    flit.flitNo = 1;
+    flit.pktSize = 1;
+    flit.payload = flitPayload(flit.flow, flit.flitNo);
+    in.send(1, DataWireFlit{flit});
+    EXPECT_DEATH(sink.tick(2), "packet 9 received more flits than its size 1");
 }
 
 } // namespace

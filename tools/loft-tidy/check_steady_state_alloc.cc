@@ -3,7 +3,7 @@
  * loft-steady-state-alloc
  *
  * The zero-allocation invariant (docs/SCALE.md): once warm-up has
- * grown every pool, ring, and buffer to its high-water mark, the
+ * grown every vector, ring, and buffer to its high-water mark, the
  * measurement window must run with zero heap allocations — the
  * census in sim/alloc.cc counts every operator new in the process and
  * the 32x32 soaks plus bench_scale gate on an exact zero.
@@ -14,17 +14,17 @@
  * per-cycle steady state; inside its body every allocation-shaped
  * construct is flagged:
  *
- *   - `new` expressions (including placement new — which is the pool
- *     idiom and therefore fine, but must say so), and
+ *   - `new` expressions (including placement new, which is fine into
+ *     reused storage but must say so), and
  *   - `push_back` / `emplace_back` / `emplace` calls, which allocate
  *     whenever they outgrow capacity.
  *
  * A flagged line is accepted when it (or the comment line above it)
  * carries a `// loft-tidy: pooled(reason)` annotation asserting that the
- * target's capacity is pre-reserved, pool-backed, or ring-backed (the
- * reason should say where the capacity comes from), or an ordinary
- * `// NOLINT(loft-steady-state-alloc)`. The annotation is a reviewed
- * claim, not a proof — the allocation census in tests/test_alloc.cc
+ * target's capacity is reserved at construction or plateaus in
+ * warm-up (the reason should say where the capacity comes from), or an
+ * ordinary `// NOLINT(loft-steady-state-alloc)`. The annotation is a
+ * reviewed claim, not a proof — the allocation census in tests/test_alloc.cc
  * and the ScaleSoak suite are the ground truth; this check exists so
  * a new unpooled call in a hot path is questioned at lint time, not
  * discovered as a soak failure later.
@@ -32,7 +32,7 @@
  * Lexical simplifications (consistent with the rest of the engine):
  * the hot region is the first balanced `{...}` after the annotation,
  * and call names are matched textually, so a user-defined `push_back`
- * on a pool type still needs its `pooled(...)` note — which is
+ * on a ring or slab type still needs its `pooled(...)` note — which is
  * exactly the documentation the reader wants there anyway.
  */
 
@@ -76,7 +76,7 @@ scanHotBody(const FileUnit &u, std::size_t begin, std::size_t end,
                what +
                    " in a steady-state-hot function may heap-allocate "
                    "during the measurement window; route it through a "
-                   "pool, ring, or pre-reserved buffer and annotate "
+                   "ring or reserved, reused vector and annotate "
                    "the line with `loft-tidy: pooled(where the "
                    "capacity comes from)`",
                out);
